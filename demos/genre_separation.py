@@ -9,8 +9,7 @@ Run:  python3 demos/genre_separation.py
 """
 
 import random
-
-import numpy as np
+from statistics import fmean
 
 from stylovec import evaluate_all, registry_for
 from stylovec.analysis import nearest_centroid_loo, to_matrix
@@ -27,16 +26,16 @@ def main() -> None:
     vectors = [evaluate_all(registry, doc) for doc in formal + chat]
     matrix = to_matrix(vectors)
     labels = ["formal"] * len(formal) + ["chat"] * len(chat)
-    print(f"vector matrix: {matrix.shape[0]} documents x {matrix.shape[1]} metrics")
+    print(f"vector matrix: {len(matrix)} documents x {len(matrix[0])} metrics")
 
     accuracy = nearest_centroid_loo(matrix, labels)
     print(f"nearest-centroid leave-one-out accuracy: {accuracy:.2%}\n")
 
     # The interesting part: which interpretable metrics drive the split.
-    formal_mean = matrix[: len(formal)].mean(axis=0)
-    chat_mean = matrix[len(formal):].mean(axis=0)
-    gaps = formal_mean - chat_mean
-    order = np.argsort(-np.abs(gaps))
+    formal_mean = [fmean(column) for column in zip(*matrix[: len(formal)])]
+    chat_mean = [fmean(column) for column in zip(*matrix[len(formal):])]
+    gaps = [f - c for f, c in zip(formal_mean, chat_mean)]
+    order = sorted(range(len(gaps)), key=lambda i: -abs(gaps[i]))
     ids = vectors[0].metric_ids
     print(f"{'metric':<22} {'formal':>8} {'chat':>8}   leans")
     for idx in order[:10]:

@@ -7,7 +7,7 @@ which every value is a count normalized by document length.
 
 from __future__ import annotations
 
-from .conllu import CorpusLoad, LoadError, ParseError, load_corpus, parse_conllu, to_conllu
+from .conllu import ParseError, parse_conllu, read_document, to_conllu
 from .engine import (
     DocContext,
     Metric,
@@ -27,12 +27,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffectiveNorms",
-    "CorpusLoad",
     "DocContext",
     "Document",
     "LexiconError",
     "Lexicon",
-    "LoadError",
     "Metric",
     "MetricDescriptor",
     "MetricResult",
@@ -48,12 +46,12 @@ __all__ = [
     "Token",
     "evaluate_all",
     "evaluate_metric",
-    "load_corpus",
     "load_lexicon",
     "load_norms",
     "load_pack",
     "pack_for",
     "parse_conllu",
+    "read_document",
     "registry_for",
     "schema_hash",
     "to_conllu",

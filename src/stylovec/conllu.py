@@ -3,14 +3,16 @@
 Parses the 10-column tab-separated format: integer-id token lines,
 ``n-m`` multiword range lines, ``#`` comments, blank-line sentence
 breaks. Every token line must be fully annotated (lemma, UPOS, head,
-deprel); decimal-id empty nodes are rejected. MISC is scanned for
+deprel), no column may be empty, and ids are decimals without leading
+zeros; decimal-id empty nodes are rejected. MISC is scanned for
 ``SpaceAfter=No`` and ``NER=<label>``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -22,7 +24,10 @@ from .model import (
     UPOS_TAGS,
 )
 
-_COLUMNS = 10
+_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "DEPS", "MISC")
+_TOKEN_ID = re.compile(r"[1-9][0-9]*")
+_RANGE_ID = re.compile(r"([1-9][0-9]*)-([1-9][0-9]*)")
+_HEAD = re.compile(r"0|[1-9][0-9]*")
 
 log = logging.getLogger("stylovec")
 
@@ -78,8 +83,6 @@ def _build_sentence(rows: list[_RawToken], ranges: list[tuple[int, int, int, str
         if tid != pos + 1:
             raise ParseError(f"token id {tid} out of sequence, expected {pos + 1}", raw.line)
         form = cols[1]
-        if not form:
-            raise ParseError("empty FORM", raw.line)
         lemma = cols[2] if cols[2] != "_" else form
         upos = cols[3]
         if upos not in UPOS_TAGS:
@@ -88,14 +91,13 @@ def _build_sentence(rows: list[_RawToken], ranges: list[tuple[int, int, int, str
         feats = _parse_feats(cols[5], raw.line)
         if cols[6] == "_":
             raise ParseError("missing HEAD", raw.line)
-        try:
-            head_id = int(cols[6])
-        except ValueError:
-            raise ParseError(f"invalid HEAD {cols[6]!r}", raw.line) from None
+        if not _HEAD.fullmatch(cols[6]):
+            raise ParseError(f"invalid HEAD {cols[6]!r}", raw.line)
+        head_id = int(cols[6])
         if head_id < 0 or head_id > n:
             raise ParseError(f"HEAD {head_id} out of range for {n}-token sentence", raw.line)
         deprel = cols[7]
-        if not deprel or deprel == "_":
+        if deprel == "_":
             raise ParseError("missing DEPREL", raw.line)
         entity, space_after = _parse_misc(cols[9])
         tokens.append(Token(
@@ -164,23 +166,21 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
                 comment_language = value.strip()
             continue
         cols = line.split("\t")
-        if len(cols) != _COLUMNS:
-            raise ParseError(f"expected {_COLUMNS} tab-separated columns, got {len(cols)}", lineno)
+        if len(cols) != len(_COLUMNS):
+            raise ParseError(f"expected {len(_COLUMNS)} tab-separated columns, got {len(cols)}", lineno)
+        if "" in cols:
+            raise ParseError(f"empty {_COLUMNS[cols.index('')]} column", lineno)
         tid = cols[0]
         if "-" in tid:
-            a, _, b = tid.partition("-")
-            try:
-                start, end = int(a), int(b)
-            except ValueError:
-                raise ParseError(f"invalid token range id {tid!r}", lineno) from None
-            ranges.append((lineno, start, end, cols[1], cols[9]))
+            match = _RANGE_ID.fullmatch(tid)
+            if match is None:
+                raise ParseError(f"invalid token range id {tid!r}", lineno)
+            ranges.append((lineno, int(match[1]), int(match[2]), cols[1], cols[9]))
             continue
         if "." in tid:
             raise ParseError(f"empty nodes are not supported (id {tid!r})", lineno)
-        try:
-            int(tid)
-        except ValueError:
-            raise ParseError(f"invalid token id {tid!r}", lineno) from None
+        if not _TOKEN_ID.fullmatch(tid):
+            raise ParseError(f"invalid token id {tid!r}", lineno)
         rows.append(_RawToken(line=lineno, cols=cols))
     flush()
     if not sentences:
@@ -238,21 +238,6 @@ def to_conllu(doc: Document) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(slots=True)
-class LoadError:
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.message}"
-
-
-@dataclass(slots=True)
-class CorpusLoad:
-    documents: list[Document] = field(default_factory=list)
-    errors: list[LoadError] = field(default_factory=list)
-
-
 def list_corpus_files(path: str | Path, pattern: str = "*.conllu") -> list[Path]:
     """Corpus file discovery: directory glob sorted by name bytes, or the one file.
 
@@ -268,40 +253,16 @@ def list_corpus_files(path: str | Path, pattern: str = "*.conllu") -> list[Path]
     return [root]
 
 
-def load_corpus(
-    path: str | Path,
-    language: str | None = None,
-    strict: bool = False,
-    pattern: str = "*.conllu",
-) -> CorpusLoad:
-    """Load a .conllu file or every file matching ``pattern`` in a directory.
+def read_document(path: str | Path, language: str | None = None) -> Document:
+    """Read, decode and parse one CoNLL-U file; the document id is the file stem.
 
-    Each file becomes one document whose id is the file stem. Unreadable
-    or malformed files are collected as :class:`LoadError` entries; with
-    ``strict`` the first such error is raised instead.
+    Unreadable and non-UTF-8 files raise :class:`ParseError` like malformed ones.
     """
-    files = list_corpus_files(path, pattern)
-    load = CorpusLoad()
-    for file in files:
-        try:
-            payload = file.read_bytes().decode("utf-8")
-        except OSError as exc:
-            err = LoadError(str(file), f"cannot read: {exc}")
-            if strict:
-                raise ParseError(str(err)) from None
-            load.errors.append(err)
-            continue
-        except UnicodeDecodeError as exc:
-            err = LoadError(str(file), f"not valid UTF-8: {exc}")
-            if strict:
-                raise ParseError(str(err)) from None
-            load.errors.append(err)
-            continue
-        try:
-            load.documents.append(parse_conllu(payload, doc_id=file.stem, language=language))
-        except ParseError as exc:
-            err = LoadError(str(file), str(exc))
-            if strict:
-                raise ParseError(str(err)) from None
-            load.errors.append(err)
-    return load
+    path = Path(path)
+    try:
+        payload = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
+    return parse_conllu(payload, doc_id=path.stem, language=language)

@@ -418,22 +418,27 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
     return Metric(descriptor=descriptor, rule=rule)
 
 
-_CACHE: dict[str, tuple[PackManifest, Registry]] = {}
+# One cache for packs and their filtered registries, keyed by
+# (language, categories, metric ids); a whole pack has empty filters.
+_CACHE: dict[tuple[str, tuple[str, ...], tuple[str, ...]], tuple[PackManifest, Registry]] = {}
 
 
 def pack_for(language: str) -> tuple[PackManifest, Registry]:
-    if language not in _CACHE:
-        _CACHE[language] = load_pack(language)
-    return _CACHE[language]
+    key = (language, (), ())
+    if key not in _CACHE:
+        _CACHE[key] = load_pack(language)
+    return _CACHE[key]
 
 
 def registry_for(language: str, categories=None, metric_ids=None) -> Registry:
     """The registry for one language, optionally narrowed to categories
-    and/or explicit metric ids."""
-    _, registry = pack_for(language)
-    if categories or metric_ids:
+    and/or explicit metric ids. Equal arguments (lists or tuples) return
+    the same cached object."""
+    manifest, registry = pack_for(language)
+    key = (language, tuple(categories or ()), tuple(metric_ids or ()))
+    if key not in _CACHE:
         try:
-            return registry.subset(categories=categories, ids=metric_ids)
+            _CACHE[key] = manifest, registry.subset(categories=categories, ids=metric_ids)
         except KeyError as exc:
             raise PackError(exc.args[0]) from None
-    return registry
+    return _CACHE[key][1]

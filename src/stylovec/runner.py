@@ -2,23 +2,24 @@
 
 One worker unit = one file: read, parse, evaluate against the pack for
 the document's language, optionally write the per-document debug CSV.
-Results are re-sorted by document id afterwards, so the output is
-byte-identical for any ``jobs`` value.
+Returned vectors carry no captures, at any ``jobs`` value: captures come
+from ``evaluate_all`` or the debug CSV. Results are re-sorted by
+document id afterwards, so the output is byte-identical for any
+``jobs`` value.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .conllu import ParseError, list_corpus_files, parse_conllu
-from .engine import MetricResult, Registry, StyloVector, evaluate_all
+from .conllu import ParseError, list_corpus_files, read_document
+from .engine import MetricResult, StyloVector, evaluate_all
 from .output import RunReport, write_debug_csv
 from .packs import PackError, registry_for
-
-_REGISTRIES: dict[tuple, Registry] = {}
 
 
 class RunnerError(ValueError):
@@ -41,15 +42,6 @@ class RunResult:
         return sorted(self.vectors)
 
 
-def _registry(language: str, categories: tuple[str, ...] | None, metric_ids: tuple[str, ...] | None) -> Registry:
-    key = (language, categories, metric_ids)
-    reg = _REGISTRIES.get(key)
-    if reg is None:
-        reg = registry_for(language, categories=categories, metric_ids=metric_ids)
-        _REGISTRIES[key] = reg
-    return reg
-
-
 def _strip_captures(vector: StyloVector) -> StyloVector:
     results = tuple(
         MetricResult(r.metric_id, r.value, r.raw_count, (), r.error, r.degenerate)
@@ -60,34 +52,28 @@ def _strip_captures(vector: StyloVector) -> StyloVector:
 
 def _process_file(args: tuple) -> tuple:
     """Worker body; returns ("ok", language, vector) or ("err", path, message)."""
-    path_s, language, categories, metric_ids, debug_dir, keep_captures = args
-    path = Path(path_s)
+    path_s, language, categories, metric_ids, debug_dir = args
     try:
-        payload = path.read_bytes().decode("utf-8")
-        doc = parse_conllu(payload, doc_id=path.stem, language=language)
+        doc = read_document(path_s, language)
         if doc.language is None:
             raise ParseError("language unknown: pass --lang or add a '# language = xx' comment")
-        registry = _registry(doc.language, categories, metric_ids)
-        vector = evaluate_all(registry, doc)
+        vector = evaluate_all(registry_for(doc.language, categories, metric_ids), doc)
         if debug_dir is not None:
             write_debug_csv(vector, doc, Path(debug_dir) / f"{doc.doc_id}.debug.csv")
-        if not keep_captures:
-            vector = _strip_captures(vector)
-        return ("ok", doc.language, vector)
-    except (OSError, UnicodeDecodeError, ParseError, PackError) as exc:
+        return ("ok", doc.language, _strip_captures(vector))
+    # OSError here is a failed debug CSV write: a per-file error like the rest.
+    except (OSError, ParseError, PackError) as exc:
         return ("err", path_s, str(exc))
 
 
 def analyze_corpus(
     input_path: str | Path,
     language: str | None = None,
-    categories: tuple[str, ...] | None = None,
-    metric_ids: tuple[str, ...] | None = None,
+    categories: Sequence[str] | None = None,
+    metric_ids: Sequence[str] | None = None,
     jobs: int = 1,
     strict: bool = False,
     debug_dir: str | Path | None = None,
-    pattern: str = "*.conllu",
-    keep_captures: bool = False,
 ) -> RunResult:
     """Evaluate every corpus file; never raises on per-file data errors unless strict."""
     started = time.monotonic()
@@ -96,16 +82,12 @@ def analyze_corpus(
     if language is not None:
         # Validate the flag and any metric/category filter up front: a bad
         # run configuration is a usage error, not a per-file failure.
-        _registry(language, categories, metric_ids)
-    files = list_corpus_files(input_path, pattern)
+        registry_for(language, categories, metric_ids)
+    files = list_corpus_files(input_path)
     if debug_dir is not None:
         Path(debug_dir).mkdir(parents=True, exist_ok=True)
-    items = [
-        (str(p), language, categories, metric_ids,
-         str(debug_dir) if debug_dir is not None else None,
-         keep_captures or jobs == 1)
-        for p in files
-    ]
+    debug_s = str(debug_dir) if debug_dir is not None else None
+    items = [(str(p), language, categories, metric_ids, debug_s) for p in files]
 
     result = RunResult(report=RunReport(str(input_path), language))
     if jobs == 1 or len(items) <= 1:

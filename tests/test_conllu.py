@@ -5,13 +5,15 @@ import logging
 import pytest
 
 from stylovec.conllu import (
-    CorpusLoad,
     ParseError,
     list_corpus_files,
-    load_corpus,
     parse_conllu,
+    read_document,
     to_conllu,
 )
+from stylovec.engine import evaluate_all
+from stylovec.packs import registry_for
+from stylovec.runner import StrictAbort, analyze_corpus
 
 from conftest import doc, sent, tok
 
@@ -135,6 +137,13 @@ class TestMultiwordRanges:
         with pytest.raises(ParseError, match="range"):
             parse_conllu(bad, doc_id="x")
 
+    @pytest.mark.parametrize("rid", ["0-1", "01-2", "1-02", "-2", "1-", "1-2-3", "+1-2"])
+    def test_range_id_that_does_not_round_trip_rejected(self, rid):
+        bad = self.PAYLOAD.replace("1-2", rid, 1)
+        with pytest.raises(ParseError, match="range id") as exc:
+            parse_conllu(bad, doc_id="x")
+        assert exc.value.line == 1
+
 
 class TestParseErrors:
     def test_wrong_column_count(self):
@@ -160,6 +169,48 @@ class TestParseErrors:
         payload = tline(1, "cat", "cat", "NOUN", "_", "root") + "\n"
         with pytest.raises(ParseError, match="HEAD"):
             parse_conllu(payload, doc_id="x")
+
+    @pytest.mark.parametrize("tid", ["01", "0", "+1", " 1", "1_0", "\u0661"])
+    def test_token_id_that_does_not_round_trip(self, tid):
+        payload = "\n".join(["# c", tline(tid, "cat", "cat", "NOUN", 0, "root")])
+        with pytest.raises(ParseError, match="invalid token id") as exc:
+            parse_conllu(payload, doc_id="x")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("head", ["01", "00", "+1", "-1"])
+    def test_head_that_does_not_round_trip(self, head):
+        payload = "\n".join([
+            tline(1, "a", "a", "NOUN", 0, "root"),
+            tline(2, "b", "b", "NOUN", head, "dep"),
+        ])
+        with pytest.raises(ParseError, match="HEAD") as exc:
+            parse_conllu(payload, doc_id="x")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("column, kwargs", [
+        ("LEMMA", {"lemma": ""}),
+        ("XPOS", {"xpos": ""}),
+        ("DEPS", {"deps": ""}),
+        ("MISC", {"misc": ""}),
+        ("FORM", {"form": ""}),
+    ])
+    def test_empty_column_rejected(self, column, kwargs):
+        fields = {"tid": 2, "form": "b", "lemma": "b", "upos": "NOUN", "head": 1, "deprel": "dep"}
+        fields.update(kwargs)
+        payload = "\n".join([tline(1, "a", "a", "NOUN", 0, "root"), tline(**fields)])
+        with pytest.raises(ParseError, match=f"empty {column} column") as exc:
+            parse_conllu(payload, doc_id="x")
+        assert exc.value.line == 2
+
+    def test_empty_column_on_range_line_rejected(self):
+        payload = "\n".join([
+            "\t".join(["1-2", "don't", "_", "_", "_", "_", "_", "_", "_", ""]),
+            tline(1, "do", "do", "AUX", 0, "root"),
+            tline(2, "n't", "not", "PART", 1, "advmod"),
+        ])
+        with pytest.raises(ParseError, match="empty MISC column") as exc:
+            parse_conllu(payload, doc_id="x")
+        assert exc.value.line == 1
 
     def test_head_out_of_range(self):
         payload = tline(1, "cat", "cat", "NOUN", 5, "dep") + "\n"
@@ -244,39 +295,48 @@ class TestCorpusLoading:
         p.write_text(payload, encoding="utf-8")
         return p
 
+    def doc_ids(self, run):
+        return [v.doc_id for vectors in run.vectors.values() for v in vectors]
+
     def test_directory_sorted_by_name(self, tmp_path):
         self.put(tmp_path, "b.conllu", BASIC)
         self.put(tmp_path, "a.conllu", BASIC)
-        load = load_corpus(tmp_path)
-        assert [d.doc_id for d in load.documents] == ["a", "b"]
-        assert not load.errors
+        run = analyze_corpus(tmp_path)
+        assert self.doc_ids(run) == ["a", "b"]
+        assert not run.report.errors
 
     def test_single_file_path(self, tmp_path):
         p = self.put(tmp_path, "solo.conllu", BASIC)
-        load = load_corpus(p)
-        assert [d.doc_id for d in load.documents] == ["solo"]
+        assert read_document(p).doc_id == "solo"
+        assert self.doc_ids(analyze_corpus(p)) == ["solo"]
 
     def test_bad_file_collected_not_fatal(self, tmp_path):
         self.put(tmp_path, "a.conllu", BASIC)
         self.put(tmp_path, "bad.conllu", "not\tconllu\n")
         self.put(tmp_path, "c.conllu", BASIC)
-        load = load_corpus(tmp_path)
-        assert [d.doc_id for d in load.documents] == ["a", "c"]
-        assert len(load.errors) == 1
-        assert "bad.conllu" in load.errors[0].path
+        run = analyze_corpus(tmp_path)
+        assert self.doc_ids(run) == ["a", "c"]
+        assert len(run.report.errors) == 1
+        assert "bad.conllu" in run.report.errors[0][0]
 
     def test_strict_raises_on_first_bad_file(self, tmp_path):
         self.put(tmp_path, "bad.conllu", "nope\n")
         self.put(tmp_path, "good.conllu", BASIC)
-        with pytest.raises(ParseError, match="bad.conllu"):
-            load_corpus(tmp_path, strict=True)
+        with pytest.raises(StrictAbort, match="bad.conllu"):
+            analyze_corpus(tmp_path, strict=True)
 
     def test_non_utf8_file_is_an_error(self, tmp_path):
         (tmp_path / "latin.conllu").write_bytes(b"caf\xe9\n")
-        load = load_corpus(tmp_path)
-        assert not load.documents
-        assert len(load.errors) == 1
-        assert "UTF-8" in load.errors[0].message
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            read_document(tmp_path / "latin.conllu")
+        run = analyze_corpus(tmp_path)
+        assert not run.vectors
+        assert len(run.report.errors) == 1
+        assert "not valid UTF-8" in run.report.errors[0][1]
+
+    def test_unreadable_file_is_an_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            read_document(tmp_path / "missing.conllu")
 
     def test_empty_directory_is_an_error(self, tmp_path):
         with pytest.raises(ParseError, match="empty corpus"):
@@ -289,10 +349,25 @@ class TestCorpusLoading:
         assert [f.name for f in files] == ["b.conll"]
 
     def test_language_argument_applies_to_all(self, tmp_path):
-        self.put(tmp_path, "a.conllu", BASIC)
-        load = load_corpus(tmp_path, language="uk")
-        assert load.documents[0].language == "uk"
+        p = self.put(tmp_path, "a.conllu", BASIC)
+        assert read_document(p, language="uk").language == "uk"
+        assert analyze_corpus(tmp_path, language="uk").languages == ["uk"]
 
-    def test_corpusload_default_is_empty(self):
-        load = CorpusLoad()
-        assert load.documents == [] and load.errors == []
+    def test_failed_debug_write_is_a_per_file_error(self, tmp_path):
+        corpus, debug = tmp_path / "corpus", tmp_path / "debug"
+        corpus.mkdir()
+        self.put(corpus, "a.conllu", BASIC)
+        self.put(corpus, "b.conllu", BASIC)
+        (debug / "a.debug.csv").mkdir(parents=True)  # the CSV cannot be written
+        run = analyze_corpus(corpus, debug_dir=debug)
+        assert self.doc_ids(run) == ["b"]
+        assert [path for path, _ in run.report.errors] == [str(corpus / "a.conllu")]
+
+    def test_runner_vectors_match_evaluate_all_without_captures(self, tmp_path):
+        p = self.put(tmp_path, "a.conllu", BASIC)
+        expected = evaluate_all(registry_for("en"), read_document(p))
+        [vector] = analyze_corpus(tmp_path, jobs=1).vectors["en"]
+        assert vector.metric_ids == expected.metric_ids
+        assert vector.values == expected.values
+        assert any(r.captured for r in expected.results)
+        assert all(r.captured == () for r in vector.results)

@@ -99,6 +99,12 @@ class TestRegistryShape:
         assert registry_for("en").ids() == registry_for("en").ids()
         assert registry_for("en").schema_hash == registry_for("en").schema_hash
 
+    def test_filtered_registry_is_cached(self):
+        reg = registry_for("en", categories=["pos"])
+        assert registry_for("en", categories=["pos"]) is reg
+        assert registry_for("en", categories=("pos",)) is reg
+        assert reg.categories() == ("pos",)
+
 
 class TestVerbGroupCells:
     @pytest.mark.parametrize("name,cell,raw", CELL_EXPECTATIONS)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .engine import DocContext, TokenRef
+from .universal import token_incidence
 
 log = logging.getLogger("stylovec")
 
@@ -43,9 +45,13 @@ class Lexicon:
         if not self.entries:
             raise LexiconError(f"{self.name}: empty lexicon")
 
-    @property
-    def phrases(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(e.split()) for e in self.entries)
+    @cached_property
+    def phrase_index(self) -> dict[str, list[tuple[str, ...]]]:
+        """Entries split into words, keyed by first word, longest first."""
+        index: dict[str, list[tuple[str, ...]]] = {}
+        for phrase in sorted((tuple(e.split()) for e in self.entries), key=len, reverse=True):
+            index.setdefault(phrase[0], []).append(phrase)
+        return index
 
 
 def _read_entries(path: Path) -> list[tuple[str, float | None]]:
@@ -94,57 +100,47 @@ def load_lexicon(path: str | Path, mode: str, name: str | None = None,
     )
 
 
-def _phrase_index(lexicon: Lexicon) -> dict[str, list[tuple[str, ...]]]:
-    index: dict[str, list[tuple[str, ...]]] = {}
-    for phrase in lexicon.phrases:
-        index.setdefault(phrase[0], []).append(phrase)
-    for first in index:
-        index[first].sort(key=len, reverse=True)
-    return index
+def lexicon_incidence(lexicon: Lexicon):
+    """Rule capturing the tokens the lexicon matches under its mode."""
+    if lexicon.mode == "prefix":
+        prefixes = tuple(lexicon.entries)
+        def prefixed(tok, sent) -> bool:
+            form = tok.form.casefold()
+            return form not in lexicon.exceptions and form.startswith(prefixes)
+        return token_incidence(prefixed)
+    if lexicon.mode == "phrase":
+        index = lexicon.phrase_index
+        return lambda ctx: (_phrase_refs(ctx, index), None)
+    def rule(ctx: DocContext):
+        index = ctx.lemma_index if lexicon.mode == "lemma_exact" else ctx.form_index
+        return [ref for entry in lexicon.entries for ref in index.get(entry, ())], None
+    return rule
+
+
+def _phrase_refs(ctx: DocContext, index: dict[str, list[tuple[str, ...]]]) -> list[TokenRef]:
+    refs: list[TokenRef] = []
+    for si, sent in enumerate(ctx.doc.sentences):
+        forms = [t.form.casefold() for t in sent.tokens]
+        ti = 0
+        n = len(forms)
+        while ti < n:
+            hit = None
+            for phrase in index.get(forms[ti], ()):
+                k = len(phrase)
+                if ti + k <= n and tuple(forms[ti:ti + k]) == phrase:
+                    hit = k
+                    break
+            if hit:
+                refs.extend((si, ti + j) for j in range(hit))
+                ti += hit
+            else:
+                ti += 1
+    return refs
 
 
 def match_lexicon(ctx: DocContext, lexicon: Lexicon) -> list[TokenRef]:
     """All token references captured by the lexicon under its mode."""
-    refs: list[TokenRef] = []
-    if lexicon.mode == "lemma_exact":
-        for entry in lexicon.entries:
-            refs.extend(ctx.lemma_index.get(entry, ()))
-    elif lexicon.mode == "form_exact":
-        for entry in lexicon.entries:
-            refs.extend(ctx.form_index.get(entry, ()))
-    elif lexicon.mode == "prefix":
-        prefixes = tuple(lexicon.entries)
-        for si, ti, tok in ctx.refs:
-            form = tok.form.casefold()
-            if form in lexicon.exceptions:
-                continue
-            if form.startswith(prefixes):
-                refs.append((si, ti))
-    else:
-        index = _phrase_index(lexicon)
-        for si, sent in enumerate(ctx.doc.sentences):
-            forms = [t.form.casefold() for t in sent.tokens]
-            ti = 0
-            n = len(forms)
-            while ti < n:
-                hit = None
-                for phrase in index.get(forms[ti], ()):
-                    k = len(phrase)
-                    if ti + k <= n and tuple(forms[ti:ti + k]) == phrase:
-                        hit = k
-                        break
-                if hit:
-                    refs.extend((si, ti + j) for j in range(hit))
-                    ti += hit
-                else:
-                    ti += 1
-    return refs
-
-
-def lexicon_incidence(lexicon: Lexicon):
-    def rule(ctx: DocContext):
-        return match_lexicon(ctx, lexicon), None
-    return rule
+    return lexicon_incidence(lexicon)(ctx)[0]
 
 
 def _entry_of(tok, mode: str) -> str:
@@ -161,16 +157,9 @@ def sentiment_incidence(lexicon: Lexicon, sign: str):
     missing = lexicon.entries - set(lexicon.weights)
     if missing:
         raise LexiconError(f"{lexicon.name}: unweighted entries, e.g. {sorted(missing)[0]!r}")
-    def rule(ctx: DocContext):
-        refs = []
-        for si, ti, tok in ctx.refs:
-            weight = lexicon.weights.get(_entry_of(tok, lexicon.mode))
-            if weight is None or weight == 0:
-                continue
-            if (weight > 0) == (sign == "positive"):
-                refs.append((si, ti))
-        return refs, None
-    return rule
+    hits = frozenset(e for e, w in lexicon.weights.items()
+                     if (w > 0 if sign == "positive" else w < 0))
+    return token_incidence(lambda tok, sent: _entry_of(tok, lexicon.mode) in hits)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +228,6 @@ def norms_incidence(norms: AffectiveNorms, dimension: str, side: str):
     if side not in ("above_mean", "below_mean"):
         raise ValueError(f"unknown side {side!r}")
     mean = norms.means[dimension]
-    def rule(ctx: DocContext):
-        refs = []
-        for si, ti, tok in ctx.refs:
-            row = norms.scores.get(tok.lemma.casefold())
-            if row is None:
-                continue
-            score = row[dimension]
-            if (score > mean) if side == "above_mean" else (score <= mean):
-                refs.append((si, ti))
-        return refs, None
-    return rule
+    hits = frozenset(lemma for lemma, row in norms.scores.items()
+                     if (row[dimension] > mean if side == "above_mean" else row[dimension] <= mean))
+    return token_incidence(lambda tok, sent: tok.lemma.casefold() in hits)

@@ -79,6 +79,7 @@ def _parse_test(spec: str) -> universal.TokenTest:
     kwargs: dict = {}
     feats: list[tuple[str, str]] = []
     nested: dict[str, list[str]] = {"child": [], "nochild": [], "head": []}
+    seen: set[str] = set()
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -88,6 +89,11 @@ def _parse_test(spec: str) -> universal.TokenTest:
         value = value.strip()
         if not sep or not value:
             raise PackError(f"bad condition {part!r}")
+        # a repeated feat.* key is a conjunction; any other repeat would
+        # silently keep only its last value
+        if key in seen and "feat" not in key.split(".")[:-1]:
+            raise PackError(f"repeated condition key {key!r}")
+        seen.add(key)
         prefix, dot, rest = key.partition(".")
         if prefix in nested and dot and prefix != "feat":
             nested[prefix].append(f"{rest}={value}")
@@ -188,18 +194,22 @@ def _fam_sentence_pattern(params, pack):
     return universal.sentence_pattern(tuple(clauses))
 
 
-def _fam_ttr(params, pack):
+def _layer(params) -> str:
     layer = params.get("layer", "form")
     if layer not in ("form", "lemma"):
         raise PackError(f"unknown layer {layer!r}")
-    return universal.type_token_ratio(layer)
+    return layer
+
+
+def _fam_ttr(params, pack):
+    return universal.type_token_ratio(_layer(params))
 
 
 def _fam_top_frequency(params, pack):
     fraction = float(_req(params, "fraction"))
     if not 0 < fraction <= 1:
         raise PackError(f"fraction {fraction} outside (0, 1]")
-    return universal.top_frequency_incidence(fraction, params.get("layer", "form"))
+    return universal.top_frequency_incidence(fraction, _layer(params))
 
 
 def _fam_word_length(params, pack):

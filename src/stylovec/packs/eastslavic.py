@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..engine import DocContext, TokenRef
 from ..model import Token
+from ..universal import sentence_incidence, token_incidence
 
 _DASH_FORMS = frozenset({"-", "–", "—"})
 _FUTURE_AUX_LEMMAS = frozenset({"бути", "быть"})
@@ -57,13 +58,7 @@ def detect_parataxis(params, pack):
 
 def detect_direct_speech(params, pack):
     """Dialogue lines opened by a dash; captures the whole sentence."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            if sent.tokens[0].form in _DASH_FORMS:
-                refs.extend((si, ti) for ti in range(len(sent)))
-        return refs, None
-    return rule
+    return sentence_incidence(lambda sent: sent.tokens[0].form in _DASH_FORMS)
 
 
 def _adjectival_first_element(part: str) -> bool:
@@ -118,13 +113,9 @@ def _analytic_future_refs(ctx: DocContext) -> list[TokenRef]:
 def detect_future_any(params, pack):
     """Synthetic or analytic future: verbs carrying Tense=Fut plus
     analytic auxiliary+infinitive pairs."""
+    synthetic = token_incidence(lambda tok, sent: tok.upos == "VERB" and tok.has_feat("Tense", "Fut"))
     def rule(ctx: DocContext):
-        refs = _analytic_future_refs(ctx)
-        for si, sent in enumerate(ctx.doc.sentences):
-            for ti, tok in enumerate(sent.tokens):
-                if tok.upos == "VERB" and tok.has_feat("Tense", "Fut"):
-                    refs.append((si, ti))
-        return refs, None
+        return _analytic_future_refs(ctx) + synthetic(ctx)[0], None
     return rule
 
 

@@ -128,62 +128,42 @@ def _group_refs(si: int, group: VerbGroup) -> list[TokenRef]:
     return [(si, t.index) for t in group.tokens]
 
 
+def _groups_where(pred):
+    """Rule capturing the tokens of every verb group ``pred`` accepts."""
+    def rule(ctx: DocContext):
+        return [ref for si, groups in enumerate(doc_verb_groups(ctx))
+                for g in groups if pred(g) for ref in _group_refs(si, g)], None
+    return rule
+
+
 def verb_group_cell(params, pack):
     tense, aspect, voice = params["tense"], params["aspect"], params["voice"]
     if tense not in TENSES or aspect not in ASPECTS or voice not in VOICES:
         raise ValueError(f"bad verb-group cell {tense}/{aspect}/{voice}")
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, groups in enumerate(doc_verb_groups(ctx)):
-            for g in groups:
-                if g.tense == tense and g.aspect == aspect and g.voice == voice:
-                    refs.extend(_group_refs(si, g))
-        return refs, None
-    return rule
+    return _groups_where(lambda g: g.tense == tense and g.aspect == aspect and g.voice == voice)
 
 
 def verb_group_tense(params, pack):
     tense = params["tense"]
     if tense not in TENSES:
         raise ValueError(f"unknown tense {tense!r}")
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, groups in enumerate(doc_verb_groups(ctx)):
-            for g in groups:
-                if g.tense == tense:
-                    refs.extend(_group_refs(si, g))
-        return refs, None
-    return rule
+    return _groups_where(lambda g: g.tense == tense)
 
 
 def verb_group_voice(params, pack):
     voice = params["voice"]
     if voice not in VOICES:
         raise ValueError(f"unknown voice {voice!r}")
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, groups in enumerate(doc_verb_groups(ctx)):
-            for g in groups:
-                # restricted to classified groups so the general voice
-                # metric stays the exact union of the detailed cells
-                if g.tense is not None and g.voice == voice:
-                    refs.extend(_group_refs(si, g))
-        return refs, None
-    return rule
+    # restricted to classified groups so the general voice metric stays
+    # the exact union of the detailed cells
+    return _groups_where(lambda g: g.tense is not None and g.voice == voice)
 
 
 def verb_group_modal(params, pack):
     modal = params["modal"].casefold()
     if modal not in MODALS:
         raise ValueError(f"unknown modal {modal!r}")
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, groups in enumerate(doc_verb_groups(ctx)):
-            for g in groups:
-                if g.modal == modal:
-                    refs.extend(_group_refs(si, g))
-        return refs, None
-    return rule
+    return _groups_where(lambda g: g.modal == modal)
 
 
 # ---------------------------------------------------------------------------

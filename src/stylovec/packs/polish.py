@@ -9,25 +9,21 @@ variants built on the comparative particles jak/niczym.
 from __future__ import annotations
 
 from ..engine import DocContext, TokenRef
-from ..model import Sentence
+from ..universal import sentence_incidence, token_incidence
 
 _QUOTE_FORMS = frozenset({'"', "'", "„", "”", "«", "»", "‚", "’"})
 _COMPARATIVE_LEMMAS = frozenset({"jak", "niczym"})
 
 
+def _is_nominal(sent) -> bool:
+    return (sent.root.upos in ("NOUN", "PROPN", "ADJ")
+            and not any(t.upos in ("VERB", "AUX") for t in sent.tokens))
+
+
 def detect_nominal_sentence(params, pack):
     """Verbless sentences with a nominal or adjectival head; captures
     the whole sentence."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            if sent.root.upos not in ("NOUN", "PROPN", "ADJ"):
-                continue
-            if any(t.upos in ("VERB", "AUX") for t in sent.tokens):
-                continue
-            refs.extend((si, ti) for ti in range(len(sent)))
-        return refs, None
-    return rule
+    return sentence_incidence(_is_nominal)
 
 
 def detect_quoted_word(params, pack):
@@ -72,54 +68,35 @@ def detect_ovs(params, pack):
     return rule
 
 
+def _is_inverted_epithet(tok, sent) -> bool:
+    return (tok.upos == "ADJ" and tok.deprel_base() == "amod"
+            and tok.head is not None and tok.head < tok.index)
+
+
 def detect_inverted_epithet(params, pack):
     """Adjectival modifier placed after its noun (experimental
     heuristic); captures the post-posed adjective."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            for ti, tok in enumerate(sent.tokens):
-                if tok.upos != "ADJ" or tok.deprel_base() != "amod":
-                    continue
-                if tok.head is not None and tok.head < ti:
-                    refs.append((si, ti))
-        return refs, None
-    return rule
+    return token_incidence(_is_inverted_epithet)
 
 
-def _comparative_pairs(sent: Sentence, target_upos: tuple[str, ...]):
-    for tok in sent.tokens:
-        if tok.upos not in target_upos:
-            continue
-        for c in sent.children(tok):
-            if c.lemma.casefold() in _COMPARATIVE_LEMMAS:
-                yield c, tok
-
-
-def detect_simile_noun(params, pack):
-    """Comparisons where jak/niczym governs a noun or pronoun standard
-    ('szybki jak błyskawica')."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            for particle, head in _comparative_pairs(sent, ("NOUN", "PROPN", "PRON")):
-                refs.append((si, particle.index))
-                refs.append((si, head.index))
-        return refs, None
-    return rule
-
-
-def detect_simile_adj(params, pack):
-    """Comparisons where jak/niczym targets an adjective ('jak
-    szalony')."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            for particle, head in _comparative_pairs(sent, ("ADJ",)):
-                refs.append((si, particle.index))
-                refs.append((si, head.index))
-        return refs, None
-    return rule
+def _simile(target_upos: tuple[str, ...]):
+    """Detector for comparisons where jak/niczym depends on a token of
+    ``target_upos``: a noun or pronoun standard ('szybki jak błyskawica')
+    or an adjective ('jak szalony'); captures the particle and its head."""
+    def detect(params, pack):
+        def rule(ctx: DocContext):
+            refs: list[TokenRef] = []
+            for si, sent in enumerate(ctx.doc.sentences):
+                for tok in sent.tokens:
+                    if tok.upos not in target_upos:
+                        continue
+                    for c in sent.children(tok):
+                        if c.lemma.casefold() in _COMPARATIVE_LEMMAS:
+                            refs.append((si, c.index))
+                            refs.append((si, tok.index))
+            return refs, None
+        return rule
+    return detect
 
 
 DETECTORS = {
@@ -127,6 +104,6 @@ DETECTORS = {
     "quoted_word": detect_quoted_word,
     "ovs": detect_ovs,
     "inverted_epithet": detect_inverted_epithet,
-    "simile_pl_noun": detect_simile_noun,
-    "simile_pl_adj": detect_simile_adj,
+    "simile_pl_noun": _simile(("NOUN", "PROPN", "PRON")),
+    "simile_pl_adj": _simile(("ADJ",)),
 }

@@ -147,27 +147,30 @@ class SentenceClause:
         return self.test.matches(sent.tokens[-1], sent)
 
 
+def token_incidence(pred):
+    """Capture every token for which ``pred(token, sentence)`` holds."""
+    def rule(ctx: DocContext):
+        sents = ctx.doc.sentences
+        return [(si, ti) for si, ti, tok in ctx.refs if pred(tok, sents[si])], None
+    return rule
+
+
+def sentence_incidence(pred):
+    """Capture all tokens of every sentence for which ``pred(sentence)`` holds."""
+    def rule(ctx: DocContext):
+        return [(si, ti) for si, sent in enumerate(ctx.doc.sentences) if pred(sent)
+                for ti in range(len(sent))], None
+    return rule
+
+
 def token_pattern(test: TokenTest):
     """Capture every token satisfying ``test``."""
-    def rule(ctx: DocContext):
-        refs = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            for ti, tok in enumerate(sent.tokens):
-                if test.matches(tok, sent):
-                    refs.append((si, ti))
-        return refs, None
-    return rule
+    return token_incidence(test.matches)
 
 
 def sentence_pattern(clauses: tuple[SentenceClause, ...]):
     """Capture all tokens of every sentence where every clause holds."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            if all(cl.holds(sent) for cl in clauses):
-                refs.extend((si, ti) for ti in range(len(sent)))
-        return refs, None
-    return rule
+    return sentence_incidence(lambda sent: all(cl.holds(sent) for cl in clauses))
 
 
 def pos_incidence(upos: str):
@@ -176,31 +179,28 @@ def pos_incidence(upos: str):
     return rule
 
 
-def feat_incidence(key: str, value: str, upos: frozenset[str] | None = None):
-    test = TokenTest(upos=upos, feats=((key, value),))
-    return token_pattern(test)
-
-
 # ---------------------------------------------------------------------------
 # lexical diversity and frequency
 
 
-def _unit(tok: Token, layer: str) -> str:
-    return (tok.lemma if layer == "lemma" else tok.form).casefold()
+def _types(ctx: DocContext, layer: str) -> dict[str, list[TokenRef]]:
+    """Non-punctuation tokens grouped by case-folded form or lemma, types
+    in order of first occurrence; computed once per document and layer."""
+    def build():
+        table: dict[str, list[TokenRef]] = {}
+        for si, ti, tok in ctx.non_punct_refs:
+            unit = (tok.lemma if layer == "lemma" else tok.form).casefold()
+            table.setdefault(unit, []).append((si, ti))
+        return table
+    return ctx.memo(f"types.{layer}", build)
 
 
 def type_token_ratio(layer: str = "form"):
     """Distinct non-punctuation types, normalized like every other
     metric by total token count. Captures the first token of each type."""
     def rule(ctx: DocContext):
-        seen: set[str] = set()
-        refs = []
-        for si, ti, tok in ctx.non_punct_refs:
-            unit = _unit(tok, layer)
-            if unit not in seen:
-                seen.add(unit)
-                refs.append((si, ti))
-        return refs, float(len(seen))
+        table = _types(ctx, layer)
+        return [refs[0] for refs in table.values()], float(len(table))
     return rule
 
 
@@ -208,97 +208,66 @@ def top_frequency_incidence(fraction: float, layer: str = "form"):
     """Tokens belonging to the top ``ceil(fraction * type_count)`` most
     frequent types; ties break by frequency then alphabetically."""
     def rule(ctx: DocContext):
-        counts: dict[str, int] = {}
-        for _, _, tok in ctx.non_punct_refs:
-            unit = _unit(tok, layer)
-            counts[unit] = counts.get(unit, 0) + 1
-        if not counts:
+        table = _types(ctx, layer)
+        if not table:
             return [], 0.0
-        k = math.ceil(fraction * len(counts))
-        ranked = sorted(counts, key=lambda u: (-counts[u], u))
-        top = set(ranked[:k])
-        refs = [(si, ti) for si, ti, tok in ctx.non_punct_refs
-                if _unit(tok, layer) in top]
-        return refs, None
+        k = math.ceil(fraction * len(table))
+        ranked = sorted(table, key=lambda u: (-len(table[u]), u))
+        return [ref for unit in ranked[:k] for ref in table[unit]], None
     return rule
 
 
 def word_length_incidence(min_syllables: int | None = None,
                           min_chars: int | None = None,
                           language: str = "en"):
-    def rule(ctx: DocContext):
-        refs = []
-        for si, ti, tok in ctx.non_punct_refs:
-            if min_chars is not None and len(tok.form) < min_chars:
-                continue
-            if min_syllables is not None and syllable_count(tok.form, language) < min_syllables:
-                continue
-            refs.append((si, ti))
-        return refs, None
-    return rule
+    def long_enough(tok: Token, sent: Sentence) -> bool:
+        if tok.is_punct:
+            return False
+        if min_chars is not None and len(tok.form) < min_chars:
+            return False
+        return min_syllables is None or syllable_count(tok.form, language) >= min_syllables
+    return token_incidence(long_enough)
+
+
+_SPLITS = {
+    "content": lambda tok, sent: tok.upos in CONTENT_UPOS,
+    "function": lambda tok, sent: tok.upos in FUNCTION_UPOS,
+    "other": lambda tok, sent: tok.upos not in CONTENT_UPOS and tok.upos not in FUNCTION_UPOS,
+}
 
 
 def function_content_split(kind: str):
     """Share of content words, function words, or everything else
     (PUNCT, NUM, INTJ, SYM, X); the three shares partition the document."""
-    if kind == "content":
-        wanted = CONTENT_UPOS
-    elif kind == "function":
-        wanted = FUNCTION_UPOS
-    elif kind == "other":
-        wanted = None
-    else:
+    if kind not in _SPLITS:
         raise ValueError(f"unknown split kind {kind!r}")
-    def rule(ctx: DocContext):
-        if wanted is None:
-            refs = [(si, ti) for si, ti, tok in ctx.refs
-                    if tok.upos not in CONTENT_UPOS and tok.upos not in FUNCTION_UPOS]
-        else:
-            refs = [(si, ti) for si, ti, tok in ctx.refs if tok.upos in wanted]
-        return refs, None
-    return rule
+    return token_incidence(_SPLITS[kind])
 
 
 # ---------------------------------------------------------------------------
 # graphical tokens
 
 
-_EMOJI_RANGES = (
-    (0x1F1E6, 0x1F1FF),
-    (0x1F300, 0x1F5FF),
-    (0x1F600, 0x1F64F),
-    (0x1F680, 0x1F6FF),
-    (0x1F900, 0x1F9FF),
-    (0x1FA70, 0x1FAFF),
-    (0x2600, 0x26FF),
-    (0x2700, 0x27BF),
-    (0x2B00, 0x2BFF),
-)
-
-_HASHTAG_RE = re.compile(r"#\w+\Z")
-_MENTION_RE = re.compile(r"@\w+\Z")
+_EMOJI_RE = re.compile(
+    "[\U0001F1E6-\U0001F1FF\U0001F300-\U0001F5FF\U0001F600-\U0001F64F"
+    "\U0001F680-\U0001F6FF\U0001F900-\U0001F9FF\U0001FA70-\U0001FAFF"
+    "\u2600-\u26FF\u2700-\u27BF\u2B00-\u2BFF]")
 
 
 def has_emoji(text: str) -> bool:
-    for ch in text:
-        o = ord(ch)
-        for lo, hi in _EMOJI_RANGES:
-            if lo <= o <= hi:
-                return True
-    return False
+    return _EMOJI_RE.search(text) is not None
 
 
-def _is_lenny(form: str) -> bool:
-    return "(" in form and ")" in form and any(ord(c) > 127 for c in form)
-
-
-def _is_masked(form: str) -> bool:
-    return "**" in form and any(c.isalpha() for c in form)
-
-
-def _is_capitalized(form: str) -> bool:
-    return len(form) >= 2 and form.isalpha() and form.isupper()
-
+# kind -> test on the token form; "emoticon" depends on the pack's list
+_FORM_TESTS = {
+    "emoji": has_emoji,
+    "url": lambda form: form.casefold().startswith(("http://", "https://", "www.")),
+    "hashtag": re.compile(r"#\w+").fullmatch,
+    "mention": re.compile(r"@\w+").fullmatch,
+    "lenny": lambda form: "(" in form and ")" in form and any(ord(c) > 127 for c in form),
+    "masked_word": lambda form: "**" in form and any(c.isalpha() for c in form),
+    "capitalized": lambda form: len(form) >= 2 and form.isalpha() and form.isupper(),
+}
 
 GRAPHICAL_KINDS = ("emoji", "emoticon", "url", "hashtag", "mention",
                    "lenny", "masked_word", "capitalized")
@@ -309,31 +278,8 @@ def graphical_incidence(kind: str, emoticons: frozenset[str] = frozenset()):
     mention, lenny, masked_word, or capitalized (all-caps word)."""
     if kind not in GRAPHICAL_KINDS:
         raise ValueError(f"unknown graphical kind {kind!r}")
-    def rule(ctx: DocContext):
-        refs = []
-        for si, ti, tok in ctx.refs:
-            form = tok.form
-            if kind == "emoji":
-                hit = has_emoji(form)
-            elif kind == "emoticon":
-                hit = form in emoticons
-            elif kind == "url":
-                low = form.casefold()
-                hit = low.startswith(("http://", "https://", "www."))
-            elif kind == "hashtag":
-                hit = bool(_HASHTAG_RE.fullmatch(form))
-            elif kind == "mention":
-                hit = bool(_MENTION_RE.fullmatch(form))
-            elif kind == "lenny":
-                hit = _is_lenny(form)
-            elif kind == "masked_word":
-                hit = _is_masked(form)
-            else:
-                hit = _is_capitalized(form)
-            if hit:
-                refs.append((si, ti))
-        return refs, None
-    return rule
+    test = emoticons.__contains__ if kind == "emoticon" else _FORM_TESTS[kind]
+    return token_incidence(lambda tok, sent: test(tok.form))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestLoadLexicon:
         p = self.put(tmp_path, "Na   Przykład\n")
         lx = load_lexicon(p, mode="phrase")
         assert lx.entries == frozenset({"na przykład"})
-        assert lx.phrases == (("na", "przykład"),)
+        assert lx.phrase_index == {"na": [("na", "przykład")]}
 
 
 class TestMatching:

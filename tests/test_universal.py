@@ -11,7 +11,6 @@ from stylovec.universal import (
     GRAPHICAL_KINDS,
     SentenceClause,
     TokenTest,
-    feat_incidence,
     function_content_split,
     graphical_incidence,
     has_emoji,
@@ -190,9 +189,10 @@ class TestPatternRules:
         ))
         refs, _ = run(pos_incidence("NOUN"), d)
         assert refs == [(0, 0)]
-        refs, _ = run(feat_incidence("Number", "Plur"), d)
+        plural = (("Number", "Plur"),)
+        refs, _ = run(token_pattern(TokenTest(feats=plural)), d)
         assert refs == [(0, 0), (0, 1)]
-        refs, _ = run(feat_incidence("Number", "Plur", upos=frozenset({"NOUN"})), d)
+        refs, _ = run(token_pattern(TokenTest(upos=frozenset({"NOUN"}), feats=plural)), d)
         assert refs == [(0, 0)]
 
 
@@ -358,6 +358,15 @@ class TestGraphical:
         assert has_emoji("party 🎉 time")
         assert has_emoji("☀")
         assert not has_emoji("plain ascii :-)")
+        ranges = [(0x1F1E6, 0x1F1FF), (0x1F300, 0x1F5FF), (0x1F600, 0x1F64F),
+                  (0x1F680, 0x1F6FF), (0x1F900, 0x1F9FF), (0x1FA70, 0x1FAFF),
+                  (0x2600, 0x26FF), (0x2700, 0x27BF), (0x2B00, 0x2BFF)]
+        def covered(o):
+            return any(lo <= o <= hi for lo, hi in ranges)
+        for lo, hi in ranges:
+            assert has_emoji(chr(lo)) and has_emoji(chr(hi)), hex(lo)
+            for outside in (lo - 1, hi + 1):
+                assert has_emoji(chr(outside)) == covered(outside), hex(outside)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

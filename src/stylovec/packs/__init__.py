@@ -141,10 +141,7 @@ def _parse_clause(spec: str) -> universal.SentenceClause:
     quantifier = quantifier.strip()
     if not sep:
         raise PackError(f"clause {spec!r} lacks conditions")
-    try:
-        return universal.SentenceClause(quantifier=quantifier, test=_parse_test(rest))
-    except ValueError as exc:
-        raise PackError(str(exc)) from None
+    return universal.SentenceClause(quantifier=quantifier, test=_parse_test(rest))
 
 
 def _parse_bool(value: str) -> bool:
@@ -194,22 +191,15 @@ def _fam_sentence_pattern(params, pack):
     return universal.sentence_pattern(tuple(clauses))
 
 
-def _layer(params) -> str:
-    layer = params.get("layer", "form")
-    if layer not in ("form", "lemma"):
-        raise PackError(f"unknown layer {layer!r}")
-    return layer
-
-
 def _fam_ttr(params, pack):
-    return universal.type_token_ratio(_layer(params))
+    return universal.type_token_ratio(params.get("layer", "form"))
 
 
 def _fam_top_frequency(params, pack):
     fraction = float(_req(params, "fraction"))
     if not 0 < fraction <= 1:
         raise PackError(f"fraction {fraction} outside (0, 1]")
-    return universal.top_frequency_incidence(fraction, _layer(params))
+    return universal.top_frequency_incidence(fraction, params.get("layer", "form"))
 
 
 def _fam_word_length(params, pack):
@@ -225,18 +215,11 @@ def _fam_word_length(params, pack):
 
 
 def _fam_content_function(params, pack):
-    try:
-        return universal.function_content_split(_req(params, "kind"))
-    except ValueError as exc:
-        raise PackError(str(exc)) from None
+    return universal.function_content_split(_req(params, "kind"))
 
 
 def _fam_graphical(params, pack):
-    kind = _req(params, "kind")
-    try:
-        return universal.graphical_incidence(kind, emoticons=pack.emoticons)
-    except ValueError as exc:
-        raise PackError(str(exc)) from None
+    return universal.graphical_incidence(_req(params, "kind"), emoticons=pack.emoticons)
 
 
 def _fam_lexicon(params, pack):
@@ -244,21 +227,13 @@ def _fam_lexicon(params, pack):
 
 
 def _fam_sentiment(params, pack):
-    try:
-        return sentiment_incidence(pack.lexicon(_req(params, "lexicon")),
-                                   _req(params, "sign"))
-    except (LexiconError, ValueError) as exc:
-        raise PackError(str(exc)) from None
+    return sentiment_incidence(pack.lexicon(_req(params, "lexicon")), _req(params, "sign"))
 
 
 def _fam_norms(params, pack):
     if pack.norms is None:
         raise PackError("pack declares no norms file")
-    try:
-        return norms_incidence(pack.norms, _req(params, "dimension"),
-                               _req(params, "side"))
-    except (LexiconError, ValueError) as exc:
-        raise PackError(str(exc)) from None
+    return norms_incidence(pack.norms, _req(params, "dimension"), _req(params, "side"))
 
 
 def _fam_phrase_distance(params, pack):
@@ -269,10 +244,7 @@ def _fam_phrase_distance(params, pack):
 
 
 def _fam_repetition(params, pack):
-    try:
-        return universal.repetition_incidence(_req(params, "kind"))
-    except ValueError as exc:
-        raise PackError(str(exc)) from None
+    return universal.repetition_incidence(_req(params, "kind"))
 
 
 # family name -> (builder, default local, default scale_invariant)
@@ -377,8 +349,6 @@ def load_pack(language: str) -> tuple[PackManifest, Registry]:
     for mid, opts in metric_sections:
         try:
             registry.register(_build_metric(mid, opts, pack, categories))
-        except PackError as exc:
-            raise PackError(f"metric {mid}: {exc}") from None
         except ValueError as exc:
             raise PackError(f"metric {mid}: {exc}") from None
     if len(registry) == 0:
@@ -410,7 +380,7 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
         builder, local, scale_invariant = DETECTORS[detector], True, True
     try:
         rule = builder(params, pack)
-    except (LexiconError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         raise PackError(str(exc)) from None
     if "local" in opts:
         local = _parse_bool(opts["local"])

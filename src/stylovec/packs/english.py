@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..engine import DocContext, TokenRef
 from ..model import Sentence, Token
+from ..universal import sentence_refs
 
 log = logging.getLogger("stylovec")
 
@@ -124,15 +125,13 @@ def doc_verb_groups(ctx: DocContext) -> list[list[VerbGroup]]:
                     lambda: [extract_verb_groups(s) for s in ctx.doc.sentences])
 
 
-def _group_refs(si: int, group: VerbGroup) -> list[TokenRef]:
-    return [(si, t.index) for t in group.tokens]
-
-
 def _groups_where(pred):
-    """Rule capturing the tokens of every verb group ``pred`` accepts."""
+    """Rule capturing the tokens of every verb group ``g`` for which
+    ``pred(g, sentence)`` holds."""
     def rule(ctx: DocContext):
-        return [ref for si, groups in enumerate(doc_verb_groups(ctx))
-                for g in groups if pred(g) for ref in _group_refs(si, g)], None
+        sents = ctx.doc.sentences
+        return [(si, t.index) for si, groups in enumerate(doc_verb_groups(ctx))
+                for g in groups if pred(g, sents[si]) for t in g.tokens], None
     return rule
 
 
@@ -140,14 +139,15 @@ def verb_group_cell(params, pack):
     tense, aspect, voice = params["tense"], params["aspect"], params["voice"]
     if tense not in TENSES or aspect not in ASPECTS or voice not in VOICES:
         raise ValueError(f"bad verb-group cell {tense}/{aspect}/{voice}")
-    return _groups_where(lambda g: g.tense == tense and g.aspect == aspect and g.voice == voice)
+    return _groups_where(
+        lambda g, sent: g.tense == tense and g.aspect == aspect and g.voice == voice)
 
 
 def verb_group_tense(params, pack):
     tense = params["tense"]
     if tense not in TENSES:
         raise ValueError(f"unknown tense {tense!r}")
-    return _groups_where(lambda g: g.tense == tense)
+    return _groups_where(lambda g, sent: g.tense == tense)
 
 
 def verb_group_voice(params, pack):
@@ -156,14 +156,14 @@ def verb_group_voice(params, pack):
         raise ValueError(f"unknown voice {voice!r}")
     # restricted to classified groups so the general voice metric stays
     # the exact union of the detailed cells
-    return _groups_where(lambda g: g.tense is not None and g.voice == voice)
+    return _groups_where(lambda g, sent: g.tense is not None and g.voice == voice)
 
 
 def verb_group_modal(params, pack):
     modal = params["modal"].casefold()
     if modal not in MODALS:
         raise ValueError(f"unknown modal {modal!r}")
-    return _groups_where(lambda g: g.modal == modal)
+    return _groups_where(lambda g, sent: g.modal == modal)
 
 
 # ---------------------------------------------------------------------------
@@ -177,95 +177,78 @@ def _subject_of(sent: Sentence, tok: Token) -> Token | None:
     return None
 
 
-def detect_fronting(params, pack):
+def fronting(sent: Sentence) -> list[int]:
     """Adverbial or oblique dependents of the root standing before both
     the subject and the predicate; captures the fronted constituent."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            root = sent.root
-            subject = _subject_of(sent, root)
-            if subject is None:
-                continue
-            for cand in sent.children(root):
-                if cand.deprel_base() not in ("obl", "advmod"):
-                    continue
-                span = sent.subtree_indices(cand.index)
-                if max(span) < root.index and max(span) < subject.index:
-                    refs.extend((si, j) for j in span)
-        return refs, None
-    return rule
+    root = sent.root
+    subject = _subject_of(sent, root)
+    if subject is None:
+        return []
+    found: list[int] = []
+    for cand in sent.children(root):
+        if cand.deprel_base() in ("obl", "advmod"):
+            span = sent.subtree_indices(cand.index)
+            if span[-1] < root.index and span[-1] < subject.index:
+                found.extend(span)
+    return found
 
 
 _IRRITATION_LEMMAS = frozenset({"constantly", "continuously", "always"})
 _IRRITATION_PHRASES = (("all", "the", "time"), ("every", "time"))
 
 
-def _intensifier_refs(si: int, sent: Sentence) -> list[TokenRef]:
-    refs = [(si, t.index) for t in sent.tokens
-            if t.lemma.casefold() in _IRRITATION_LEMMAS]
+def _intensifiers(sent: Sentence) -> list[int]:
+    found = [t.index for t in sent.tokens if t.lemma.casefold() in _IRRITATION_LEMMAS]
     forms = [t.form.casefold() for t in sent.tokens]
     for phrase in _IRRITATION_PHRASES:
         k = len(phrase)
         for i in range(len(forms) - k + 1):
             if tuple(forms[i:i + k]) == phrase:
-                refs.extend((si, i + j) for j in range(k))
-    return refs
+                found.extend(range(i, i + k))
+    return found
 
 
-def detect_irritation(params, pack):
+def irritation(ctx: DocContext):
     """Habitual-annoyance figure: a continuous-aspect group together
     with an intensifier ('always', 'constantly', 'all the time', ...)."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            intens = _intensifier_refs(si, sent)
-            if not intens:
-                continue
-            hit = False
-            for g in doc_verb_groups(ctx)[si]:
-                if g.aspect in ("continuous", "perfect_continuous"):
-                    refs.extend(_group_refs(si, g))
-                    hit = True
-            if hit:
-                refs.extend(intens)
-        return refs, None
-    return rule
+    refs: list[TokenRef] = []
+    for si, sent in enumerate(ctx.doc.sentences):
+        intens = _intensifiers(sent)
+        if not intens:
+            continue
+        continuous = [t.index for g in doc_verb_groups(ctx)[si]
+                      if g.aspect in ("continuous", "perfect_continuous") for t in g.tokens]
+        if continuous:
+            refs.extend((si, ti) for ti in continuous + intens)
+    return refs, None
 
 
 _SIMILE_VERBS = frozenset({"look", "seem", "sound", "feel"})
 
 
-def detect_simile(params, pack):
+def simile(sent: Sentence) -> list[int]:
     """'as ADJ/ADV as NP' and 'look/seem like NP' comparisons."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            for tok in sent.tokens:
-                if tok.upos in ("ADJ", "ADV"):
-                    kids = sent.children(tok)
-                    first_as = [c for c in kids
-                                if c.lemma.casefold() == "as" and c.index < tok.index]
-                    if not first_as:
-                        continue
-                    for np in kids:
-                        if np.index <= tok.index or np.upos not in ("NOUN", "PROPN", "PRON", "NUM"):
-                            continue
-                        if any(c.lemma.casefold() == "as"
-                               for c in sent.children(np)):
-                            refs.append((si, first_as[0].index))
-                            refs.append((si, tok.index))
-                            refs.extend((si, j) for j in sent.subtree_indices(np.index))
-                elif tok.upos == "VERB" and tok.lemma.casefold() in _SIMILE_VERBS:
-                    for np in sent.children(tok):
-                        if np.upos not in ("NOUN", "PROPN", "PRON"):
-                            continue
-                        if any(c.lemma.casefold() == "like"
-                               for c in sent.children(np)):
-                            refs.append((si, tok.index))
-                            refs.extend((si, j) for j in sent.subtree_indices(np.index))
-        return refs, None
-    return rule
+    found: list[int] = []
+    for tok in sent.tokens:
+        if tok.upos in ("ADJ", "ADV"):
+            kids = sent.children(tok)
+            first_as = [c for c in kids if c.lemma.casefold() == "as" and c.index < tok.index]
+            if not first_as:
+                continue
+            for np in kids:
+                if np.index <= tok.index or np.upos not in ("NOUN", "PROPN", "PRON", "NUM"):
+                    continue
+                if any(c.lemma.casefold() == "as" for c in sent.children(np)):
+                    found += (first_as[0].index, tok.index)
+                    found.extend(sent.subtree_indices(np.index))
+        elif tok.upos == "VERB" and tok.lemma.casefold() in _SIMILE_VERBS:
+            for np in sent.children(tok):
+                if np.upos not in ("NOUN", "PROPN", "PRON"):
+                    continue
+                if any(c.lemma.casefold() == "like" for c in sent.children(np)):
+                    found.append(tok.index)
+                    found.extend(sent.subtree_indices(np.index))
+    return found
 
 
 def _negated(sent: Sentence, main: Token) -> bool:
@@ -273,36 +256,23 @@ def _negated(sent: Sentence, main: Token) -> bool:
                for c in sent.children(main))
 
 
-def detect_do_support(params, pack):
+def do_support(g: VerbGroup, sent: Sentence) -> bool:
     """Emphatic do: a do-auxiliary on a positive, non-interrogative
     clause ('I do love dogs')."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            if sent.tokens[-1].form == "?":
-                continue
-            for g in doc_verb_groups(ctx)[si]:
-                if g.has_do and g.main.upos == "VERB" and not _negated(sent, g.main):
-                    refs.extend(_group_refs(si, g))
-        return refs, None
-    return rule
+    return (g.has_do and g.main.upos == "VERB" and sent.tokens[-1].form != "?"
+            and not _negated(sent, g.main))
 
 
-def detect_inversion(params, pack):
+def inversion(sent: Sentence) -> tuple[int, ...]:
     """Declarative subject-predicate inversion: the subject follows the
     root predicate in linear order."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            if sent.tokens[-1].form == "?":
-                continue
-            root = sent.root
-            subject = _subject_of(sent, root)
-            if subject is not None and subject.index > root.index:
-                refs.append((si, root.index))
-                refs.append((si, subject.index))
-        return refs, None
-    return rule
+    if sent.tokens[-1].form == "?":
+        return ()
+    root = sent.root
+    subject = _subject_of(sent, root)
+    if subject is not None and subject.index > root.index:
+        return root.index, subject.index
+    return ()
 
 
 DETECTORS = {
@@ -310,9 +280,9 @@ DETECTORS = {
     "verb_group_tense": verb_group_tense,
     "verb_group_voice": verb_group_voice,
     "verb_group_modal": verb_group_modal,
-    "fronting": detect_fronting,
-    "irritation": detect_irritation,
-    "simile_en": detect_simile,
-    "do_support": detect_do_support,
-    "inversion": detect_inversion,
+    "fronting": lambda params, pack: sentence_refs(fronting),
+    "irritation": lambda params, pack: irritation,
+    "simile_en": lambda params, pack: sentence_refs(simile),
+    "do_support": lambda params, pack: _groups_where(do_support),
+    "inversion": lambda params, pack: sentence_refs(inversion),
 }

@@ -8,102 +8,81 @@ variants built on the comparative particles jak/niczym.
 
 from __future__ import annotations
 
-from ..engine import DocContext, TokenRef
-from ..universal import sentence_incidence, token_incidence
+from ..universal import sentence_incidence, sentence_refs, token_incidence
 
 _QUOTE_FORMS = frozenset({'"', "'", "„", "”", "«", "»", "‚", "’"})
 _COMPARATIVE_LEMMAS = frozenset({"jak", "niczym"})
 
 
-def _is_nominal(sent) -> bool:
+def is_nominal(sent) -> bool:
+    """Verbless sentences with a nominal or adjectival head; captures
+    the whole sentence."""
     return (sent.root.upos in ("NOUN", "PROPN", "ADJ")
             and not any(t.upos in ("VERB", "AUX") for t in sent.tokens))
 
 
-def detect_nominal_sentence(params, pack):
-    """Verbless sentences with a nominal or adjectival head; captures
-    the whole sentence."""
-    return sentence_incidence(_is_nominal)
-
-
-def detect_quoted_word(params, pack):
+def quoted_words(sent) -> list[int]:
     """Non-punctuation tokens enclosed by a quote pair within one
     sentence."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            inside = False
-            pending: list[TokenRef] = []
-            for ti, tok in enumerate(sent.tokens):
-                if tok.form in _QUOTE_FORMS:
-                    if inside:
-                        refs.extend(pending)
-                        pending = []
-                    inside = not inside
-                elif inside and not tok.is_punct:
-                    pending.append((si, ti))
-        return refs, None
-    return rule
+    found: list[int] = []
+    pending: list[int] = []
+    inside = False
+    for ti, tok in enumerate(sent.tokens):
+        if tok.form in _QUOTE_FORMS:
+            if inside:
+                found.extend(pending)
+                pending = []
+            inside = not inside
+        elif inside and not tok.is_punct:
+            pending.append(ti)
+    return found
 
 
-def detect_ovs(params, pack):
+def ovs(sent) -> tuple[int, ...]:
     """Object-verb-subject linear order around the root (experimental
     heuristic); captures object head, root, and subject head."""
-    def rule(ctx: DocContext):
-        refs: list[TokenRef] = []
-        for si, sent in enumerate(ctx.doc.sentences):
-            root = sent.root
-            if root.upos not in ("VERB", "AUX"):
-                continue
-            obj = None
-            subj = None
-            for c in sent.children(root):
-                if c.deprel_base() == "obj":
-                    obj = c
-                elif c.deprel_base() in ("nsubj", "csubj"):
-                    subj = c
-            if obj is not None and subj is not None and obj.index < root.index < subj.index:
-                refs.extend(((si, obj.index), (si, root.index), (si, subj.index)))
-        return refs, None
-    return rule
+    root = sent.root
+    if root.upos not in ("VERB", "AUX"):
+        return ()
+    obj = None
+    subj = None
+    for c in sent.children(root):
+        if c.deprel_base() == "obj":
+            obj = c
+        elif c.deprel_base() in ("nsubj", "csubj"):
+            subj = c
+    if obj is not None and subj is not None and obj.index < root.index < subj.index:
+        return obj.index, root.index, subj.index
+    return ()
 
 
-def _is_inverted_epithet(tok, sent) -> bool:
+def is_inverted_epithet(tok, sent) -> bool:
+    """Adjectival modifier placed after its noun (experimental
+    heuristic); captures the post-posed adjective."""
     return (tok.upos == "ADJ" and tok.deprel_base() == "amod"
             and tok.head is not None and tok.head < tok.index)
 
 
-def detect_inverted_epithet(params, pack):
-    """Adjectival modifier placed after its noun (experimental
-    heuristic); captures the post-posed adjective."""
-    return token_incidence(_is_inverted_epithet)
-
-
 def _simile(target_upos: tuple[str, ...]):
-    """Detector for comparisons where jak/niczym depends on a token of
+    """Finder for comparisons where jak/niczym depends on a token of
     ``target_upos``: a noun or pronoun standard ('szybki jak błyskawica')
     or an adjective ('jak szalony'); captures the particle and its head."""
-    def detect(params, pack):
-        def rule(ctx: DocContext):
-            refs: list[TokenRef] = []
-            for si, sent in enumerate(ctx.doc.sentences):
-                for tok in sent.tokens:
-                    if tok.upos not in target_upos:
-                        continue
-                    for c in sent.children(tok):
-                        if c.lemma.casefold() in _COMPARATIVE_LEMMAS:
-                            refs.append((si, c.index))
-                            refs.append((si, tok.index))
-            return refs, None
-        return rule
-    return detect
+    def find(sent) -> list[int]:
+        found: list[int] = []
+        for tok in sent.tokens:
+            if tok.upos in target_upos:
+                for c in sent.children(tok):
+                    if c.lemma.casefold() in _COMPARATIVE_LEMMAS:
+                        found += (c.index, tok.index)
+        return found
+    return find
 
 
 DETECTORS = {
-    "nominal_sentence": detect_nominal_sentence,
-    "quoted_word": detect_quoted_word,
-    "ovs": detect_ovs,
-    "inverted_epithet": detect_inverted_epithet,
-    "simile_pl_noun": _simile(("NOUN", "PROPN", "PRON")),
-    "simile_pl_adj": _simile(("ADJ",)),
+    "nominal_sentence": lambda params, pack: sentence_incidence(is_nominal),
+    "quoted_word": lambda params, pack: sentence_refs(quoted_words),
+    "ovs": lambda params, pack: sentence_refs(ovs),
+    "inverted_epithet": lambda params, pack: token_incidence(is_inverted_epithet),
+    "simile_pl_noun": lambda params, pack: sentence_refs(_simile(("NOUN", "PROPN", "PRON"))),
+    "simile_pl_adj": lambda params, pack: sentence_refs(_simile(("ADJ",))),
 }

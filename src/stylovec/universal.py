@@ -163,6 +163,14 @@ def sentence_incidence(pred):
     return rule
 
 
+def sentence_refs(find):
+    """Capture ``(si, ti)`` for every index ``ti`` that ``find(sentence)``
+    returns in sentence ``si``."""
+    def rule(ctx: DocContext):
+        return [(si, ti) for si, sent in enumerate(ctx.doc.sentences) for ti in find(sent)], None
+    return rule
+
+
 def token_pattern(test: TokenTest):
     """Capture every token satisfying ``test``."""
     return token_incidence(test.matches)
@@ -183,6 +191,11 @@ def pos_incidence(upos: str):
 # lexical diversity and frequency
 
 
+def _check_layer(layer: str) -> None:
+    if layer not in ("form", "lemma"):
+        raise ValueError(f"unknown layer {layer!r}")
+
+
 def _types(ctx: DocContext, layer: str) -> dict[str, list[TokenRef]]:
     """Non-punctuation tokens grouped by case-folded form or lemma, types
     in order of first occurrence; computed once per document and layer."""
@@ -198,6 +211,7 @@ def _types(ctx: DocContext, layer: str) -> dict[str, list[TokenRef]]:
 def type_token_ratio(layer: str = "form"):
     """Distinct non-punctuation types, normalized like every other
     metric by total token count. Captures the first token of each type."""
+    _check_layer(layer)
     def rule(ctx: DocContext):
         table = _types(ctx, layer)
         return [refs[0] for refs in table.values()], float(len(table))
@@ -207,6 +221,7 @@ def type_token_ratio(layer: str = "form"):
 def top_frequency_incidence(fraction: float, layer: str = "form"):
     """Tokens belonging to the top ``ceil(fraction * type_count)`` most
     frequent types; ties break by frequency then alphabetically."""
+    _check_layer(layer)
     def rule(ctx: DocContext):
         table = _types(ctx, layer)
         if not table:

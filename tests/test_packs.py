@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from stylovec import packs
-from stylovec.packs import PackError, PackResources
+from stylovec.conllu import parse_conllu
+from stylovec.engine import evaluate_all
+from stylovec.lexicons import AffectiveNorms, Lexicon
+from stylovec.output import debug_csv_string
+from stylovec.packs import PackError, PackResources, registry_for
+
+TESTS = Path(__file__).parent
 
 
 class TestConditionKeys:
@@ -35,6 +43,31 @@ class TestLayer:
             packs._build_metric("X", opts, PackResources("en"), ("LEX",))
 
 
+def _resources() -> PackResources:
+    sentiment = Lexicon(name="sent", mode="lemma_exact", entries=frozenset({"good"}),
+                        weights={"good": 1.0})
+    norms = AffectiveNorms(dimensions=("valence",), means={"valence": 0.0},
+                           scores={"good": {"valence": 1.0}})
+    return PackResources("en", lexicons={"sent": sentiment}, norms=norms)
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"family": "graphical", "kind": "smiley"}, "unknown graphical kind 'smiley'"),
+    ({"family": "content_function", "kind": "lexical"}, "unknown split kind 'lexical'"),
+    ({"family": "repetition", "kind": "word"}, "unknown repetition kind 'word'"),
+    ({"family": "sentiment", "lexicon": "sent", "sign": "neutral"}, "unknown sign 'neutral'"),
+    ({"family": "norms", "dimension": "valence", "side": "at_mean"},
+     "unknown side 'at_mean'"),
+    ({"family": "sentence_pattern", "clause.1": "most; upos=NOUN"},
+     "unknown quantifier 'most'"),
+    ({"detector": "verb_group_tense", "tense": "pluperfect"}, "unknown tense 'pluperfect'"),
+])
+def test_build_error_message_names_the_bad_value(params, message):
+    with pytest.raises(PackError) as info:
+        packs._build_metric("X", {"category": "LEX", **params}, _resources(), ("LEX",))
+    assert str(info.value) == message
+
+
 def test_every_family_and_detector_is_used_by_a_stock_manifest():
     used: set[str] = set()
     for language in packs.PACK_FILES:
@@ -43,3 +76,27 @@ def test_every_family_and_detector_is_used_by_a_stock_manifest():
             used.update(cfg[section].get(k) for k in ("family", "detector"))
     assert set(packs.FAMILIES) - used == set()
     assert set(packs.DETECTORS) - used == set()
+
+
+def _detector_captures_csv() -> str:
+    """Debug rows of every detector metric over the fixture documents,
+    under one header."""
+    detector_ids = {}
+    for language in packs.PACK_FILES:
+        cfg = packs._read_manifest(language)
+        detector_ids[language] = [name.partition(" ")[2].strip() for name in cfg.sections()
+                                  if cfg[name].get("detector")]
+    lines = []
+    for path in sorted((TESTS / "fixtures").rglob("*.conllu")):
+        document = parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+        registry = registry_for(document.language, metric_ids=detector_ids[document.language])
+        rows = debug_csv_string(evaluate_all(registry, document), document).splitlines(True)
+        if not lines:
+            lines.append(rows[0])
+        lines.extend(rows[1:])
+    return "".join(lines)
+
+
+def test_detector_captures_match_golden():
+    golden = TESTS / "golden" / "detector_captures.csv"
+    assert _detector_captures_csv() == golden.read_text(encoding="utf-8")

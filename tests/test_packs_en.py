@@ -179,6 +179,22 @@ class TestFigureDetectors:
         assert res["VG_PAST_CONT_ACT"].raw_count == 2  # was + losing
         assert res["SYN_IRRITATION"].raw_count == 3
 
+    def test_intensifier_without_continuous_group(self):
+        d = doc(sent(
+            tok(0, "She", lemma="she", upos="PRON", head=2, deprel="nsubj"),
+            tok(1, "always", lemma="always", upos="ADV", head=2, deprel="advmod"),
+            tok(2, "comes", lemma="come", upos="VERB", feats={"Tense": "Pres", "VerbForm": "Fin"}),
+            tok(3, "late", lemma="late", upos="ADV", head=2, deprel="advmod"),
+        ))
+        res = evaluate_doc(d)
+        assert res["VG_PRES_SIMPLE_ACT"].raw_count == 1
+        assert res["SYN_IRRITATION"].captured == ()
+
+    def test_continuous_group_without_intensifier(self):
+        _, res = results_for("en_verbs/c03.conllu")
+        assert res["VG_PRES_CONT_ACT"].raw_count == 2
+        assert res["SYN_IRRITATION"].captured == ()
+
     def test_inversion_and_fronting(self):
         document, res = results_for("en_verbs/p27.conllu")
         assert res["VG_PAST_SIMPLE_ACT"].raw_count == 1

@@ -112,6 +112,31 @@ class TestSyntaxDetectors:
         ))
         assert evaluate_doc(d)["SY_QUOTED"].raw_count == 0
 
+    def test_two_quoted_spans_in_one_sentence(self):
+        d = pl_doc(sent(
+            tok(0, "„", lemma="„", upos="PUNCT", head=1, deprel="punct"),
+            tok(1, "dom", lemma="dom", upos="NOUN"),
+            tok(2, "”", lemma="”", upos="PUNCT", head=1, deprel="punct"),
+            tok(3, "i", lemma="i", upos="CCONJ", head=5, deprel="cc"),
+            tok(4, "«", lemma="«", upos="PUNCT", head=5, deprel="punct"),
+            tok(5, "praca", lemma="praca", upos="NOUN", head=1, deprel="conj"),
+            tok(6, ",", lemma=",", upos="PUNCT", head=5, deprel="punct"),
+            tok(7, "odpoczynek", lemma="odpoczynek", upos="NOUN", head=5, deprel="conj"),
+            tok(8, "»", lemma="»", upos="PUNCT", head=5, deprel="punct"),
+        ))
+        assert evaluate_doc(d)["SY_QUOTED"].captured == ((0, 1), (0, 5), (0, 7))
+
+    def test_closed_pair_then_unclosed_quote(self):
+        d = pl_doc(sent(
+            tok(0, "„", lemma="„", upos="PUNCT", head=1, deprel="punct"),
+            tok(1, "dom", lemma="dom", upos="NOUN"),
+            tok(2, "”", lemma="”", upos="PUNCT", head=1, deprel="punct"),
+            tok(3, "i", lemma="i", upos="CCONJ", head=5, deprel="cc"),
+            tok(4, "„", lemma="„", upos="PUNCT", head=5, deprel="punct"),
+            tok(5, "praca", lemma="praca", upos="NOUN", head=1, deprel="conj"),
+        ))
+        assert evaluate_doc(d)["SY_QUOTED"].captured == ((0, 1),)
+
     def test_ovs_order(self):
         d = pl_doc(sent(
             tok(0, "Książkę", lemma="książka", upos="NOUN", head=1, deprel="obj",

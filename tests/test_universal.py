@@ -219,6 +219,13 @@ class TestTypeTokenRatio:
         assert raw == 3.0
         assert refs == [(0, 0), (0, 1), (0, 3)]
 
+    @pytest.mark.parametrize("factory", [
+        type_token_ratio, lambda layer: top_frequency_incidence(0.5, layer),
+    ], ids=["type_token_ratio", "top_frequency"])
+    def test_unknown_layer_rejected_when_built(self, factory):
+        with pytest.raises(ValueError, match="^unknown layer 'lemmas'$"):
+            factory("lemmas")
+
     def test_matches_brute_force_set_count(self):
         d = self.make()
         expected = len({t.form.casefold() for t in d.tokens() if not t.is_punct})

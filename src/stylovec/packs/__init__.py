@@ -153,11 +153,11 @@ def _parse_bool(value: str) -> bool:
     raise PackError(f"bad boolean {value!r}")
 
 
-def _req(params: dict[str, str], key: str) -> str:
-    try:
-        return params[key]
-    except KeyError:
-        raise PackError(f"missing parameter {key!r}") from None
+class _Params(dict):
+    """A metric's manifest parameters; a missing one is a PackError."""
+
+    def __missing__(self, key: str):
+        raise PackError(f"missing parameter {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +165,21 @@ def _req(params: dict[str, str], key: str) -> str:
 
 
 def _fam_pos(params, pack):
-    upos = _req(params, "upos")
+    upos = params["upos"]
     if upos not in UPOS_TAGS:
         raise PackError(f"unknown UPOS {upos!r}")
     return universal.pos_incidence(upos)
 
 
 def _fam_feat(params, pack):
-    test = _parse_test(_req(params, "test"))
+    test = _parse_test(params["test"])
     if not test.feats:
         raise PackError("feat_incidence needs at least one feat.* condition")
     return universal.token_pattern(test)
 
 
 def _fam_token_pattern(params, pack):
-    return universal.token_pattern(_parse_test(_req(params, "test")))
+    return universal.token_pattern(_parse_test(params["test"]))
 
 
 def _fam_sentence_pattern(params, pack):
@@ -196,7 +196,7 @@ def _fam_ttr(params, pack):
 
 
 def _fam_top_frequency(params, pack):
-    fraction = float(_req(params, "fraction"))
+    fraction = float(params["fraction"])
     if not 0 < fraction <= 1:
         raise PackError(f"fraction {fraction} outside (0, 1]")
     return universal.top_frequency_incidence(fraction, params.get("layer", "form"))
@@ -215,36 +215,36 @@ def _fam_word_length(params, pack):
 
 
 def _fam_content_function(params, pack):
-    return universal.function_content_split(_req(params, "kind"))
+    return universal.function_content_split(params["kind"])
 
 
 def _fam_graphical(params, pack):
-    return universal.graphical_incidence(_req(params, "kind"), emoticons=pack.emoticons)
+    return universal.graphical_incidence(params["kind"], emoticons=pack.emoticons)
 
 
 def _fam_lexicon(params, pack):
-    return lexicon_incidence(pack.lexicon(_req(params, "lexicon")))
+    return lexicon_incidence(pack.lexicon(params["lexicon"]))
 
 
 def _fam_sentiment(params, pack):
-    return sentiment_incidence(pack.lexicon(_req(params, "lexicon")), _req(params, "sign"))
+    return sentiment_incidence(pack.lexicon(params["lexicon"]), params["sign"])
 
 
 def _fam_norms(params, pack):
     if pack.norms is None:
         raise PackError("pack declares no norms file")
-    return norms_incidence(pack.norms, _req(params, "dimension"), _req(params, "side"))
+    return norms_incidence(pack.norms, params["dimension"], params["side"])
 
 
 def _fam_phrase_distance(params, pack):
-    upos = _req(params, "upos")
+    upos = params["upos"]
     if upos not in ("NOUN", "VERB", "ADP", "ADJ", "ADV"):
         raise PackError(f"unsupported phrase head {upos!r}")
     return universal.phrase_distance(upos)
 
 
 def _fam_repetition(params, pack):
-    return universal.repetition_incidence(_req(params, "kind"))
+    return universal.repetition_incidence(params["kind"])
 
 
 # family name -> (builder, default local, default scale_invariant)
@@ -369,7 +369,7 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
     detector = opts.get("detector")
     if bool(family) == bool(detector):
         raise PackError("exactly one of family/detector required")
-    params = {k: v for k, v in opts.items() if k not in _META_KEYS}
+    params = _Params((k, v) for k, v in opts.items() if k not in _META_KEYS)
     if family:
         if family not in FAMILIES:
             raise PackError(f"unknown family {family!r}")

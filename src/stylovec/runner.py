@@ -2,10 +2,10 @@
 
 One worker unit = one file: read, parse, evaluate against the pack for
 the document's language, optionally write the per-document debug CSV.
-Returned vectors carry no captures, at any ``jobs`` value: captures come
-from ``evaluate_all`` or the debug CSV. Results are re-sorted by
-document id afterwards, so the output is byte-identical for any
-``jobs`` value.
+At any ``jobs`` value the worker returns a row of builtins, from which
+the main process rebuilds a vector without captures: captures come from
+``evaluate_all`` or the debug CSV. Results are re-sorted by document id
+afterwards, so the output is byte-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -42,16 +42,9 @@ class RunResult:
         return sorted(self.vectors)
 
 
-def _strip_captures(vector: StyloVector) -> StyloVector:
-    results = tuple(
-        MetricResult(r.metric_id, r.value, r.raw_count, (), r.error, r.degenerate)
-        for r in vector.results
-    )
-    return StyloVector(vector.doc_id, vector.metric_ids, results)
-
-
 def _process_file(args: tuple) -> tuple:
-    """Worker body; returns ("ok", language, vector) or ("err", path, message)."""
+    """Worker body; returns ("err", path, message) or ("ok", language, doc_id, values,
+    raw_counts, flags), flags being (index, error, degenerate) of each flagged metric."""
     path_s, language, categories, metric_ids, debug_dir = args
     try:
         doc = read_document(path_s, language)
@@ -60,10 +53,13 @@ def _process_file(args: tuple) -> tuple:
         vector = evaluate_all(registry_for(doc.language, categories, metric_ids), doc)
         if debug_dir is not None:
             write_debug_csv(vector, doc, Path(debug_dir) / f"{doc.doc_id}.debug.csv")
-        return ("ok", doc.language, _strip_captures(vector))
     # OSError here is a failed debug CSV write: a per-file error like the rest.
     except (OSError, ParseError, PackError) as exc:
         return ("err", path_s, str(exc))
+    rs = vector.results
+    flags = tuple((i, r.error, r.degenerate) for i, r in enumerate(rs) if r.error or r.degenerate)
+    return ("ok", doc.language, doc.doc_id, tuple(r.value for r in rs),
+            tuple(r.raw_count for r in rs), flags)
 
 
 def analyze_corpus(
@@ -91,13 +87,12 @@ def analyze_corpus(
 
     result = RunResult(report=RunReport(str(input_path), language))
     if jobs == 1 or len(items) <= 1:
-        outcomes = map(_process_file, items)
-        _collect(result, outcomes, strict)
+        _collect(result, map(_process_file, items), strict, categories, metric_ids)
     else:
         chunk = max(1, len(items) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = pool.map(_process_file, items, chunksize=chunk)
-            _collect(result, outcomes, strict)
+            _collect(result, outcomes, strict, categories, metric_ids)
 
     for lang, vectors in result.vectors.items():
         vectors.sort(key=lambda v: v.doc_id.encode("utf-8"))
@@ -106,11 +101,16 @@ def analyze_corpus(
     return result
 
 
-def _collect(result: RunResult, outcomes, strict: bool) -> None:
+def _collect(result: RunResult, outcomes, strict: bool, categories, metric_ids) -> None:
+    ids_of: dict[str, tuple[str, ...]] = {}  # one ids tuple per language, shared by its vectors
     for outcome in outcomes:
         if outcome[0] == "ok":
-            _, lang, vector = outcome
-            result.vectors.setdefault(lang, []).append(vector)
+            _, lang, doc_id, values, raw_counts, flags = outcome
+            ids = ids_of.setdefault(lang, registry_for(lang, categories, metric_ids).ids())
+            results = [MetricResult(*cells, ()) for cells in zip(ids, values, raw_counts)]
+            for i, error, degenerate in flags:
+                results[i] = MetricResult(ids[i], values[i], raw_counts[i], (), error, degenerate)
+            result.vectors.setdefault(lang, []).append(StyloVector(doc_id, ids, tuple(results)))
             result.report.processed += 1
         else:
             _, path_s, message = outcome

@@ -61,6 +61,12 @@ def _resources() -> PackResources:
     ({"family": "sentence_pattern", "clause.1": "most; upos=NOUN"},
      "unknown quantifier 'most'"),
     ({"detector": "verb_group_tense", "tense": "pluperfect"}, "unknown tense 'pluperfect'"),
+    ({"family": "graphical"}, "missing parameter 'kind'"),
+    ({"detector": "verb_group_cell", "tense": "past", "voice": "active"},
+     "missing parameter 'aspect'"),
+    ({"detector": "verb_group_tense"}, "missing parameter 'tense'"),
+    ({"detector": "verb_group_voice"}, "missing parameter 'voice'"),
+    ({"detector": "verb_group_modal"}, "missing parameter 'modal'"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
     with pytest.raises(PackError) as info:

@@ -6,15 +6,18 @@ The invariants here are the contract every metric must keep regardless
 of input shape: values stay inside [0, 1], the value is exactly the raw
 count over the token count, captures are well-formed references, and
 whole-document duplication leaves scale-invariant metrics untouched.
+The parser's contract is checked on edited fixture text: every mutant
+is either rejected with a line number or round-trips exactly.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from stylovec.conllu import parse_conllu, to_conllu
+from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import evaluate_all
 from stylovec.packs import registry_for
 from stylovec.synth import duplicate, random_document
@@ -117,3 +120,44 @@ def test_serialization_round_trip_preserves_every_field(seed, language):
             assert new.feats == orig.feats
             assert new.entity == orig.entity
             assert new.space_after == orig.space_after
+
+
+MAX_EDITS = 3
+# More token lines than edits, so no mutant loses every token line: an
+# empty document is the one whole-payload error, reported without a line.
+MUTATION_SOURCES = [
+    text for text in (p.read_text(encoding="utf-8")
+                      for p in sorted((Path(__file__).parent / "fixtures").rglob("*.conllu")))
+    if sum(line[:1].isdigit() for line in text.split("\n")) > MAX_EDITS
+]
+# Characters the format gives a meaning to, plus a letter, a non-ASCII
+# letter and a non-ASCII digit.
+EDIT_CHARS = "\t\n\r #-._=|:0129aé٣\ufeff"
+edits = st.lists(
+    st.tuples(st.sampled_from(("insert", "delete", "replace")),
+              st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(EDIT_CHARS)),
+    min_size=1, max_size=MAX_EDITS,
+)
+
+
+def mutate(text: str, changes) -> str:
+    """Apply (op, line, column, char) edits; line and column wrap around,
+    and deleting at the end of a line joins it with the next one."""
+    for op, line_pick, column_pick, char in changes:
+        lines = text.split("\n")
+        line = line_pick % len(lines)
+        pos = sum(len(s) + 1 for s in lines[:line]) + column_pick % (len(lines[line]) + 1)
+        text = text[:pos] + ("" if op == "delete" else char) + text[pos + (op != "insert"):]
+    return text
+
+
+@given(source=st.sampled_from(MUTATION_SOURCES), edits=edits)
+@settings(max_examples=300, deadline=None)
+def test_mutated_text_is_rejected_with_a_line_or_round_trips(source, edits):
+    text = mutate(source, edits)
+    try:
+        doc = parse_conllu(text, doc_id="mutant")
+    except ParseError as exc:
+        assert exc.line > 0, str(exc)
+        return
+    assert parse_conllu(to_conllu(doc), doc_id="mutant") == doc

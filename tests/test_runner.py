@@ -1,0 +1,97 @@
+"""Corpus runner: vectors and worker messages at any ``jobs`` value."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from stylovec import runner
+from stylovec.conllu import read_document
+from stylovec.engine import Metric, MetricDescriptor, Registry, evaluate_all
+from stylovec.runner import analyze_corpus
+
+CORPUS = Path(__file__).parent / "fixtures" / "golden" / "corpus"
+BUILTINS = (str, float, int, bool, type(None))
+
+
+def _broken_rule(ctx):
+    raise RuntimeError(f"broken rule on {ctx.doc.doc_id}")
+
+
+def _negative_zero_rule(ctx):
+    return [], -0.0
+
+
+@pytest.fixture
+def broken_metric_registries(monkeypatch):
+    """Every stock registry plus a metric whose rule always raises and
+    one whose count is -0.0.
+
+    The runner looks ``registry_for`` up on its own module, and forked
+    workers inherit the patch, so both ``jobs`` paths see the same
+    registries.
+    """
+    stock = runner.registry_for
+    cache: dict[str, Registry] = {}
+
+    def registry_for(language, categories=None, metric_ids=None):
+        if language not in cache:
+            registry = Registry(stock(language, categories, metric_ids))
+            for mid, rule in (("X_BROKEN", _broken_rule), ("X_NEGATIVE_ZERO", _negative_zero_rule)):
+                registry.register(Metric(
+                    MetricDescriptor(id=mid, category="custom", language=language, description=""),
+                    rule,
+                ))
+            cache[language] = registry
+        return cache[language]
+
+    monkeypatch.setattr(runner, "registry_for", registry_for)
+    return registry_for
+
+
+def _fields(vector, captured=None):
+    """Every field of every result; floats by repr, so the sign of a zero counts."""
+    return [(r.metric_id, repr(r.value), repr(r.raw_count),
+             r.captured if captured is None else captured, r.error, r.degenerate)
+            for r in vector.results]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_vectors_equal_evaluate_all_field_by_field(broken_metric_registries, jobs):
+    run = analyze_corpus(CORPUS, jobs=jobs)
+    assert run.report.processed == 6 and not run.report.errors
+    seen = 0
+    for language, vectors in run.vectors.items():
+        for vector in vectors:
+            doc = read_document(CORPUS / f"{vector.doc_id}.conllu")
+            expected = evaluate_all(broken_metric_registries(language), doc)
+            assert vector.doc_id == expected.doc_id
+            assert vector.metric_ids == expected.metric_ids
+            assert _fields(vector) == _fields(expected, captured=())
+            by_id = dict(zip(vector.metric_ids, vector.results))
+            assert by_id["X_BROKEN"].error == f"broken rule on {vector.doc_id}"
+            assert repr(by_id["X_NEGATIVE_ZERO"].value) == "-0.0"
+            seen += 1
+    assert seen == 6
+
+
+def test_vectors_of_one_language_share_one_ids_tuple():
+    run = analyze_corpus(CORPUS, jobs=2)
+    for vectors in run.vectors.values():
+        assert len({id(v.metric_ids) for v in vectors}) == 1
+
+
+def _walk(value):
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _walk(item)
+
+
+@pytest.mark.parametrize("path", [CORPUS / "alpha_en.conllu", CORPUS / "missing.conllu"])
+def test_worker_message_holds_builtins_only(broken_metric_registries, path):
+    message = runner._process_file((str(path), None, None, None, None))
+    assert message[0] == ("ok" if path.exists() else "err")
+    for item in _walk(message):
+        assert type(item) in (*BUILTINS, tuple), type(item).__name__

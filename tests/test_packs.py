@@ -84,18 +84,13 @@ def test_every_family_and_detector_is_used_by_a_stock_manifest():
     assert set(packs.DETECTORS) - used == set()
 
 
-def _detector_captures_csv() -> str:
-    """Debug rows of every detector metric over the fixture documents,
-    under one header."""
-    detector_ids = {}
-    for language in packs.PACK_FILES:
-        cfg = packs._read_manifest(language)
-        detector_ids[language] = [name.partition(" ")[2].strip() for name in cfg.sections()
-                                  if cfg[name].get("detector")]
+def _captures_csv(metric_ids=lambda language: None) -> str:
+    """Debug rows of the metrics ``metric_ids(language)`` picks (all of
+    them by default) over the fixture documents, under one header."""
     lines = []
     for path in sorted((TESTS / "fixtures").rglob("*.conllu")):
         document = parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
-        registry = registry_for(document.language, metric_ids=detector_ids[document.language])
+        registry = registry_for(document.language, metric_ids=metric_ids(document.language))
         rows = debug_csv_string(evaluate_all(registry, document), document).splitlines(True)
         if not lines:
             lines.append(rows[0])
@@ -103,6 +98,16 @@ def _detector_captures_csv() -> str:
     return "".join(lines)
 
 
+def _detector_ids(language: str) -> list[str]:
+    cfg = packs._read_manifest(language)
+    return [name.partition(" ")[2].strip() for name in cfg.sections() if cfg[name].get("detector")]
+
+
 def test_detector_captures_match_golden():
     golden = TESTS / "golden" / "detector_captures.csv"
-    assert _detector_captures_csv() == golden.read_text(encoding="utf-8")
+    assert _captures_csv(_detector_ids) == golden.read_text(encoding="utf-8")
+
+
+def test_captures_match_golden():
+    golden = TESTS / "golden" / "captures.csv"
+    assert _captures_csv() == golden.read_text(encoding="utf-8")

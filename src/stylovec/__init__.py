@@ -21,7 +21,7 @@ from .engine import (
 )
 from .lexicons import AffectiveNorms, Lexicon, LexiconError, load_lexicon, load_norms
 from .model import Document, ModelError, MultiwordRange, Sentence, Token
-from .packs import PackError, PackManifest, PackResources, load_pack, pack_for, registry_for
+from .packs import PackError, PackResources, load_pack, registry_for
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "ModelError",
     "MultiwordRange",
     "PackError",
-    "PackManifest",
     "PackResources",
     "ParseError",
     "Registry",
@@ -49,7 +48,6 @@ __all__ = [
     "load_lexicon",
     "load_norms",
     "load_pack",
-    "pack_for",
     "parse_conllu",
     "read_document",
     "registry_for",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -134,22 +134,29 @@ class MetricResult:
     degenerate: bool = False
 
 
-def evaluate_metric(metric: Metric, ctx: DocContext) -> MetricResult:
-    """Run one rule; failures become an error result with value 0."""
-    total = ctx.doc.token_count
+def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
+    """Run one rule: (value, raw_count, captured, error, degenerate). Refs always
+    become a set, so a failing ref generator is an error; only ``captures`` sorts them."""
     try:
         refs, raw = metric.rule(ctx)
-        captured = tuple(sorted(set(refs)))
+        unique = set(refs)
+        captured = tuple(sorted(unique)) if captures else ()
         if raw is None:
-            raw = float(len(captured))
+            raw = float(len(unique))
         if raw < 0:
             raise ValueError(f"negative raw count {raw}")
     except Exception as exc:
         log.warning("metric %s failed: %s", metric.id, exc)
-        return MetricResult(metric.id, 0.0, 0.0, (), error=str(exc) or type(exc).__name__)
+        return 0.0, 0.0, (), str(exc) or type(exc).__name__, False
+    total = ctx.doc.token_count
     if total == 0:
-        return MetricResult(metric.id, 0.0, float(raw), captured, degenerate=True)
-    return MetricResult(metric.id, ratio(raw, total), float(raw), captured)
+        return 0.0, float(raw), captured, None, True
+    return ratio(raw, total), float(raw), captured, None, False
+
+
+def evaluate_metric(metric: Metric, ctx: DocContext) -> MetricResult:
+    """Run one rule with captures; failures become an error result with value 0."""
+    return MetricResult(metric.id, *_evaluate(metric, ctx, True))
 
 
 class Registry:
@@ -222,40 +229,56 @@ def schema_hash(metric_ids: Sequence[str]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class StyloVector:
-    """Fixed-length feature vector for one document: one result per
-    registered metric, in registry order."""
+    """Feature vector of one document as columns in registry order. ``flags`` holds
+    ``(index, error, degenerate)`` for each metric that raised or met an empty document;
+    ``captured`` holds the refs of each metric, or ``None`` without captures."""
 
     doc_id: str
     metric_ids: tuple[str, ...]
-    results: tuple[MetricResult, ...]
+    values: tuple[float, ...]
+    raw_counts: tuple[float, ...]
+    flags: tuple[tuple[int, str | None, bool], ...] = ()
+    captured: tuple[tuple[TokenRef, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.metric_ids) != len(self.results):
-            raise ValueError("metric_ids and results length mismatch")
-        for mid, res in zip(self.metric_ids, self.results):
-            if mid != res.metric_id:
-                raise ValueError(f"result order mismatch at {mid}")
+        n = len(self.metric_ids)
+        for name in ("values", "raw_counts", "captured"):
+            column = getattr(self, name)
+            if column is not None and len(column) != n:
+                raise ValueError(f"metric_ids and {name} length mismatch")
+        for i, _, _ in self.flags:
+            if not 0 <= i < n:
+                raise ValueError(f"flag index {i} outside the vector")
 
     @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(r.value for r in self.results)
+    def results(self) -> tuple[MetricResult, ...]:
+        """One result per metric, built on demand; no captures gives ``()`` each."""
+        captured = self.captured or ((),) * len(self)
+        flags = {i: rest for i, *rest in self.flags}
+        return tuple(MetricResult(*cells, *flags.get(i, ())) for i, cells in
+                     enumerate(zip(self.metric_ids, self.values, self.raw_counts, captured)))
 
     @property
     def schema_hash(self) -> str:
         return schema_hash(self.metric_ids)
 
     def as_dict(self) -> dict[str, float]:
-        return {r.metric_id: r.value for r in self.results}
+        return dict(zip(self.metric_ids, self.values))
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.metric_ids)
 
 
-def evaluate_all(registry: Registry, doc: Document) -> StyloVector:
+def evaluate_all(registry: Registry, doc: Document, captures: bool = True) -> StyloVector:
     """Evaluate every registered metric against one document, sharing a
-    single context so indexes are built once."""
+    single context so indexes are built once; ``captures=False`` skips
+    sorting and keeping the refs."""
     if len(registry) == 0:
         raise ValueError("empty registry")
     ctx = DocContext(doc)
-    results = tuple(evaluate_metric(metric, ctx) for metric in registry)
-    return StyloVector(doc_id=doc.doc_id, metric_ids=registry.ids(), results=results)
+    values, raw_counts, captured, errors, degenerate = zip(
+        *[_evaluate(metric, ctx, captures) for metric in registry])
+    flags = tuple((i, error, degen) for i, (error, degen) in enumerate(zip(errors, degenerate))
+                  if error or degen)
+    return StyloVector(doc.doc_id, registry.ids(), values, raw_counts, flags,
+                       captured if captures else None)

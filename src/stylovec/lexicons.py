@@ -138,11 +138,6 @@ def _phrase_refs(ctx: DocContext, index: dict[str, list[tuple[str, ...]]]) -> li
     return refs
 
 
-def match_lexicon(ctx: DocContext, lexicon: Lexicon) -> list[TokenRef]:
-    """All token references captured by the lexicon under its mode."""
-    return lexicon_incidence(lexicon)(ctx)[0]
-
-
 def _entry_of(tok, mode: str) -> str:
     return (tok.lemma if mode == "lemma_exact" else tok.form).casefold()
 

@@ -172,12 +172,8 @@ class Sentence:
     def child_indices(self, index: int) -> tuple[int, ...]:
         return self._children[index]
 
-    def subtree(self, token: Token) -> list[Token]:
-        """``token`` plus all transitive dependents, in linear order."""
-        out = self.subtree_indices(self._own(token))
-        return [self.tokens[j] for j in out]
-
     def subtree_indices(self, index: int) -> list[int]:
+        """``index`` plus the indices of all transitive dependents, in linear order."""
         acc = [index]
         stack = list(self._children[index])
         while stack:

@@ -77,7 +77,7 @@ def vectors_to_json(pairs: Sequence[tuple[str | None, StyloVector]]) -> list[dic
                 "doc_id": vec.doc_id,
                 "language": language,
                 "schema_hash": vec.schema_hash,
-                "values": {r.metric_id: round(r.value, 6) for r in vec.results},
+                "values": {mid: round(v, 6) for mid, v in zip(vec.metric_ids, vec.values)},
             }
         )
     return out
@@ -97,20 +97,24 @@ def write_debug_csv(vector: StyloVector, doc: Document, sink: str | Path | IO[st
         raise OutputError(
             f"vector for {vector.doc_id!r} does not belong to document {doc.doc_id!r}"
         )
+    if vector.captured is None:
+        raise OutputError(
+            f"vector for {vector.doc_id!r} holds no captures: evaluate it with captures=True"
+        )
     rows = 0
     with _open_sink(sink) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DEBUG_COLUMNS)
-        for result in vector.results:
-            for si, ti in result.captured:
+        for metric_id, captured in zip(vector.metric_ids, vector.captured):
+            for si, ti in captured:
                 if si >= len(doc.sentences) or ti >= len(doc.sentences[si].tokens):
                     raise OutputError(
-                        f"internal error: metric {result.metric_id} captured "
+                        f"internal error: metric {metric_id} captured "
                         f"({si}, {ti}) outside document {doc.doc_id!r}"
                     )
                 tok = doc.sentences[si].tokens[ti]
                 writer.writerow(
-                    (doc.doc_id, result.metric_id, si, ti, tok.form, tok.lemma, tok.upos, tok.deprel)
+                    (doc.doc_id, metric_id, si, ti, tok.form, tok.lemma, tok.upos, tok.deprel)
                 )
                 rows += 1
     return rows

@@ -59,14 +59,6 @@ class PackResources:
             raise PackError(f"missing lexicon {name!r}") from None
 
 
-@dataclass(frozen=True)
-class PackManifest:
-    language: str
-    categories: tuple[str, ...]
-    metric_ids: tuple[str, ...]
-    resources: PackResources
-
-
 # ---------------------------------------------------------------------------
 # condition mini-language
 
@@ -297,7 +289,7 @@ def _read_manifest(language: str) -> configparser.ConfigParser:
     return cfg
 
 
-def load_pack(language: str) -> tuple[PackManifest, Registry]:
+def load_pack(language: str) -> Registry:
     """Build the full registry for one language from its manifest."""
     if language not in PACK_FILES:
         supported = ", ".join(sorted(PACK_FILES))
@@ -353,9 +345,7 @@ def load_pack(language: str) -> tuple[PackManifest, Registry]:
             raise PackError(f"metric {mid}: {exc}") from None
     if len(registry) == 0:
         raise PackError(f"{language}: manifest defines no metrics")
-    manifest = PackManifest(language=language, categories=categories,
-                            metric_ids=registry.ids(), resources=pack)
-    return manifest, registry
+    return registry
 
 
 def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
@@ -398,27 +388,22 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
     return Metric(descriptor=descriptor, rule=rule)
 
 
-# One cache for packs and their filtered registries, keyed by
+# One cache for whole and filtered registries, keyed by
 # (language, categories, metric ids); a whole pack has empty filters.
-_CACHE: dict[tuple[str, tuple[str, ...], tuple[str, ...]], tuple[PackManifest, Registry]] = {}
-
-
-def pack_for(language: str) -> tuple[PackManifest, Registry]:
-    key = (language, (), ())
-    if key not in _CACHE:
-        _CACHE[key] = load_pack(language)
-    return _CACHE[key]
+_CACHE: dict[tuple[str, tuple[str, ...], tuple[str, ...]], Registry] = {}
 
 
 def registry_for(language: str, categories=None, metric_ids=None) -> Registry:
     """The registry for one language, optionally narrowed to categories
     and/or explicit metric ids. Equal arguments (lists or tuples) return
     the same cached object."""
-    manifest, registry = pack_for(language)
     key = (language, tuple(categories or ()), tuple(metric_ids or ()))
     if key not in _CACHE:
-        try:
-            _CACHE[key] = manifest, registry.subset(categories=categories, ids=metric_ids)
-        except KeyError as exc:
-            raise PackError(exc.args[0]) from None
-    return _CACHE[key][1]
+        if key == (language, (), ()):
+            _CACHE[key] = load_pack(language)
+        else:
+            try:
+                _CACHE[key] = registry_for(language).subset(categories=categories, ids=metric_ids)
+            except KeyError as exc:
+                raise PackError(exc.args[0]) from None
+    return _CACHE[key]

@@ -2,10 +2,11 @@
 
 One worker unit = one file: read, parse, evaluate against the pack for
 the document's language, optionally write the per-document debug CSV.
-At any ``jobs`` value the worker returns a row of builtins, from which
-the main process rebuilds a vector without captures: captures come from
-``evaluate_all`` or the debug CSV. Results are re-sorted by document id
-afterwards, so the output is byte-identical for any ``jobs`` value.
+Captures are built only for the debug CSV. At any ``jobs`` value the
+worker returns the vector's columns as builtins, from which the main
+process builds a vector without captures. Results are re-sorted by
+document id afterwards, so the output is byte-identical for any
+``jobs`` value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import ParseError, list_corpus_files, read_document
-from .engine import MetricResult, StyloVector, evaluate_all
+from .engine import StyloVector, evaluate_all
 from .output import RunReport, write_debug_csv
 from .packs import PackError, registry_for
 
@@ -44,22 +45,20 @@ class RunResult:
 
 def _process_file(args: tuple) -> tuple:
     """Worker body; returns ("err", path, message) or ("ok", language, doc_id, values,
-    raw_counts, flags), flags being (index, error, degenerate) of each flagged metric."""
+    raw_counts, flags): the columns of the vector, whose ids the main process has."""
     path_s, language, categories, metric_ids, debug_dir = args
     try:
         doc = read_document(path_s, language)
         if doc.language is None:
             raise ParseError("language unknown: pass --lang or add a '# language = xx' comment")
-        vector = evaluate_all(registry_for(doc.language, categories, metric_ids), doc)
+        vector = evaluate_all(registry_for(doc.language, categories, metric_ids), doc,
+                              captures=debug_dir is not None)
         if debug_dir is not None:
             write_debug_csv(vector, doc, Path(debug_dir) / f"{doc.doc_id}.debug.csv")
     # OSError here is a failed debug CSV write: a per-file error like the rest.
     except (OSError, ParseError, PackError) as exc:
         return ("err", path_s, str(exc))
-    rs = vector.results
-    flags = tuple((i, r.error, r.degenerate) for i, r in enumerate(rs) if r.error or r.degenerate)
-    return ("ok", doc.language, doc.doc_id, tuple(r.value for r in rs),
-            tuple(r.raw_count for r in rs), flags)
+    return ("ok", doc.language, vector.doc_id, vector.values, vector.raw_counts, vector.flags)
 
 
 def analyze_corpus(
@@ -107,10 +106,8 @@ def _collect(result: RunResult, outcomes, strict: bool, categories, metric_ids) 
         if outcome[0] == "ok":
             _, lang, doc_id, values, raw_counts, flags = outcome
             ids = ids_of.setdefault(lang, registry_for(lang, categories, metric_ids).ids())
-            results = [MetricResult(*cells, ()) for cells in zip(ids, values, raw_counts)]
-            for i, error, degenerate in flags:
-                results[i] = MetricResult(ids[i], values[i], raw_counts[i], (), error, degenerate)
-            result.vectors.setdefault(lang, []).append(StyloVector(doc_id, ids, tuple(results)))
+            result.vectors.setdefault(lang, []).append(
+                StyloVector(doc_id, ids, values, raw_counts, flags))
             result.report.processed += 1
         else:
             _, path_s, message = outcome

@@ -193,23 +193,35 @@ class TestSchemaHash:
 
 
 class TestStyloVector:
-    def res(self, mid, value=0.0):
-        return MetricResult(mid, value, value, ())
-
     def test_aligned_vector(self):
-        v = StyloVector("d", ("A", "B"), (self.res("A", 0.5), self.res("B", 0.25)))
+        v = StyloVector("d", ("A", "B"), (0.5, 0.25), (0.5, 0.25))
         assert v.values == (0.5, 0.25)
         assert v.as_dict() == {"A": 0.5, "B": 0.25}
         assert len(v) == 2
         assert v.schema_hash == schema_hash(["A", "B"])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StyloVector("d", ("A", "B"), (self.res("A"),))
+        for column in ("values", "raw_counts", "captured"):
+            columns = dict(values=(0.0, 0.0), raw_counts=(0.0, 0.0), captured=((), ()))
+            columns[column] = columns[column][:1]
+            with pytest.raises(ValueError, match=f"{column} length mismatch"):
+                StyloVector("d", ("A", "B"), **columns)
 
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StyloVector("d", ("A", "B"), (self.res("B"), self.res("A")))
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_flag_outside_vector_rejected(self, index):
+        with pytest.raises(ValueError, match="outside the vector"):
+            StyloVector("d", ("A", "B"), (0.0, 0.0), (0.0, 0.0), flags=((index, "boom", False),))
+
+    def test_results_view_follows_ids_and_applies_flags(self):
+        v = StyloVector("d", ("A", "B", "C"), (0.5, 0.0, 0.0), (1.0, 0.0, 3.0),
+                        flags=((1, "boom", False), (2, None, True)))
+        assert v.results == (
+            MetricResult("A", 0.5, 1.0, ()),
+            MetricResult("B", 0.0, 0.0, (), error="boom"),
+            MetricResult("C", 0.0, 3.0, (), degenerate=True),
+        )
+        captured = StyloVector("d", ("A", "B"), (0.5, 0.0), (1.0, 0.0), captured=(((0, 1),), ()))
+        assert [r.captured for r in captured.results] == [((0, 1),), ()]
 
 
 class TestEvaluateAll:

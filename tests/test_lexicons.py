@@ -12,7 +12,6 @@ from stylovec.lexicons import (
     lexicon_incidence,
     load_lexicon,
     load_norms,
-    match_lexicon,
     norms_incidence,
     sentiment_incidence,
 )
@@ -88,8 +87,8 @@ class TestLoadLexicon:
 
 
 class TestMatching:
-    def ctx(self, document):
-        return DocContext(document)
+    def match(self, document, lexicon):
+        return lexicon_incidence(lexicon)(DocContext(document))[0]
 
     def test_lemma_exact_casefolds(self):
         d = doc(sent(
@@ -97,7 +96,7 @@ class TestMatching:
             tok(1, "runs", lemma="run", upos="VERB", head=0, deprel="conj"),
             tok(2, "runner", lemma="runner", upos="NOUN", head=0, deprel="obj"),
         ))
-        refs = match_lexicon(self.ctx(d), lex({"run"}))
+        refs = self.match(d, lex({"run"}))
         assert forms_of(d, refs) == ["Ran", "runs"]
 
     def test_form_exact_ignores_lemma(self):
@@ -105,46 +104,46 @@ class TestMatching:
             tok(0, "Ran", lemma="run", upos="VERB"),
             tok(1, "run", lemma="running", upos="NOUN", head=0, deprel="obj"),
         ))
-        refs = match_lexicon(self.ctx(d), lex({"run"}, mode="form_exact"))
+        refs = self.match(d, lex({"run"}, mode="form_exact"))
         assert forms_of(d, refs) == ["run"]
 
     def test_prefix_with_exceptions(self):
         d = doc(word_sentence("antygen", "antyk", "antylopa", "inny"))
         lx = lex({"anty"}, mode="prefix", exceptions={"antyk", "antylopa"})
-        refs = match_lexicon(self.ctx(d), lx)
+        refs = self.match(d, lx)
         assert forms_of(d, refs) == ["antygen"]
 
     def test_phrase_matches_consecutive_forms(self):
         d = doc(word_sentence("seen", "all", "the", "time", "today"))
-        refs = match_lexicon(self.ctx(d), lex({"all the time"}, mode="phrase"))
+        refs = self.match(d, lex({"all the time"}, mode="phrase"))
         assert forms_of(d, refs) == ["all", "the", "time"]
 
     def test_phrase_does_not_cross_sentences(self):
         d = doc(word_sentence("nice", "all", "the"), word_sentence("time", "flies"))
-        refs = match_lexicon(self.ctx(d), lex({"all the time"}, mode="phrase"))
+        refs = self.match(d, lex({"all the time"}, mode="phrase"))
         assert refs == []
 
     def test_phrase_longest_match_wins(self):
         d = doc(word_sentence("in", "spite", "of", "this"))
         lx = lex({"in spite", "in spite of"}, mode="phrase")
-        refs = match_lexicon(self.ctx(d), lx)
+        refs = self.match(d, lx)
         assert forms_of(d, refs) == ["in", "of", "spite"]
 
     def test_phrase_non_overlapping_greedy(self):
         d = doc(word_sentence("ha", "ha", "ha"))
-        refs = match_lexicon(self.ctx(d), lex({"ha ha"}, mode="phrase"))
+        refs = self.match(d, lex({"ha ha"}, mode="phrase"))
         # greedy left-to-right: tokens 0-1 consumed, token 2 has no partner
         assert refs == [(0, 0), (0, 1)]
 
     def test_single_word_phrase(self):
         d = doc(word_sentence("well", "then"))
-        refs = match_lexicon(self.ctx(d), lex({"well"}, mode="phrase"))
+        refs = self.match(d, lex({"well"}, mode="phrase"))
         assert refs == [(0, 0)]
 
     def test_incidence_rule_wraps_matching(self):
         d = doc(word_sentence("alpha", "beta"))
         rule = lexicon_incidence(lex({"alpha"}, mode="form_exact"))
-        refs, raw = rule(self.ctx(d))
+        refs, raw = rule(DocContext(d))
         assert refs == [(0, 0)] and raw is None
 
 

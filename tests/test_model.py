@@ -100,9 +100,9 @@ class TestSentenceQueries:
 
     def test_subtree_linear_order(self):
         s = self.make()
-        assert [t.form for t in s.subtree(s.root)] == ["the", "cat", "sat", "."]
-        assert [t.form for t in s.subtree(s.tokens[1])] == ["the", "cat"]
-        assert [t.form for t in s.subtree(s.tokens[0])] == ["the"]
+        assert [s.tokens[j].form for j in s.subtree_indices(s.root.index)] == ["the", "cat", "sat", "."]
+        assert [s.tokens[j].form for j in s.subtree_indices(1)] == ["the", "cat"]
+        assert [s.tokens[j].form for j in s.subtree_indices(0)] == ["the"]
 
     def test_text_honors_space_after(self):
         s = sent(

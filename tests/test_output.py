@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from stylovec.engine import MetricResult, StyloVector, evaluate_all
+from stylovec import engine, runner
+from stylovec.conllu import read_document
+from stylovec.engine import StyloVector, evaluate_all
 from stylovec.output import (
     DEBUG_COLUMNS,
     OutputError,
@@ -18,17 +20,17 @@ from stylovec.output import (
     write_vectors_json,
 )
 from stylovec.packs import registry_for
+from stylovec.runner import analyze_corpus
 
-from conftest import doc, load_fixture, word_sentence
+from conftest import FIXTURES, doc, load_fixture, word_sentence
+
+CORPUS = FIXTURES / "golden" / "corpus"
 
 
-def vec(doc_id, pairs, captured=None):
+def vec(doc_id, pairs):
     ids = tuple(mid for mid, _ in pairs)
-    results = tuple(
-        MetricResult(mid, value, value, tuple((captured or {}).get(mid, ())))
-        for mid, value in pairs
-    )
-    return StyloVector(doc_id=doc_id, metric_ids=ids, results=results)
+    values = tuple(value for _, value in pairs)
+    return StyloVector(doc_id, ids, values, values)
 
 
 class TestVectorCsv:
@@ -142,13 +144,32 @@ class TestDebugCsv:
 
     def test_dangling_reference_rejected(self):
         document = doc(word_sentence("a"), doc_id="t")
-        bad = StyloVector(
-            doc_id="t",
-            metric_ids=("M",),
-            results=(MetricResult("M", 1.0, 1.0, ((5, 0),)),),
-        )
+        bad = StyloVector("t", ("M",), (1.0,), (1.0,), captured=(((5, 0),),))
         with pytest.raises(OutputError, match="internal error"):
             write_debug_csv(bad, document, io.StringIO())
+
+    def test_vector_without_captures_rejected(self, tmp_path):
+        run = analyze_corpus(CORPUS)
+        vector = run.vectors["en"][0]
+        assert vector.captured is None
+        out = tmp_path / "debug.csv"
+        with pytest.raises(OutputError, match=f"{vector.doc_id!r} holds no captures"):
+            write_debug_csv(vector, read_document(CORPUS / f"{vector.doc_id}.conllu"), out)
+        assert not out.exists()
+
+    def test_runner_builds_captures_only_for_debug_csv(self, monkeypatch, tmp_path):
+        asked = []
+
+        def spy(registry, document, captures=True):
+            asked.append(captures)
+            return evaluate_all(registry, document, captures)
+
+        monkeypatch.setattr(runner, "evaluate_all", spy)
+        monkeypatch.setattr(engine, "MetricResult", None)  # building one would raise
+        analyze_corpus(CORPUS)
+        analyze_corpus(CORPUS, debug_dir=tmp_path)
+        assert asked == [False] * 6 + [True] * 6
+        assert len(list(tmp_path.glob("*.debug.csv"))) == 6
 
     def test_returns_row_count(self, tmp_path):
         document, vector = self.results_on_fixture()

@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
-from stylovec.engine import evaluate_all
+from stylovec.engine import Metric, MetricDescriptor, Registry, evaluate_all
 from stylovec.packs import registry_for
 from stylovec.synth import duplicate, random_document
 
@@ -120,6 +120,59 @@ def test_serialization_round_trip_preserves_every_field(seed, language):
             assert new.feats == orig.feats
             assert new.entity == orig.entity
             assert new.space_after == orig.space_after
+
+
+def _raises_midway(ctx):
+    def refs():
+        yield from (ref[:2] for ref in ctx.refs[:1])
+        raise RuntimeError("refs failed midway")
+    return refs(), 1.0
+
+
+CUSTOM_RULES = {
+    "X_RAISES_MIDWAY": _raises_midway,
+    "X_NEGATIVE": lambda ctx: ([], -1.0),
+    "X_NEGATIVE_ZERO": lambda ctx: ([ref[:2] for ref in ctx.refs], -0.0),
+}
+_WITH_CUSTOM: dict[str, Registry] = {}
+
+
+def with_custom(language: str) -> Registry:
+    """The stock registry plus three rules that fail or count oddly."""
+    if language not in _WITH_CUSTOM:
+        registry = Registry(registry_for(language))
+        for mid, rule in CUSTOM_RULES.items():
+            registry.register(Metric(MetricDescriptor(mid, "custom", language, ""), rule))
+        _WITH_CUSTOM[language] = registry
+    return _WITH_CUSTOM[language]
+
+
+def assert_captures_change_nothing(doc):
+    """Without captures, every column but ``captured`` is the same; floats by repr."""
+    registry = with_custom(doc.language)
+    full = evaluate_all(registry, doc)
+    bare = evaluate_all(registry, doc, captures=False)
+    assert bare.captured is None and len(full.captured) == len(registry)
+    assert bare.metric_ids == full.metric_ids == registry.ids()
+    assert [repr(v) for v in bare.values] == [repr(v) for v in full.values]
+    assert [repr(r) for r in bare.raw_counts] == [repr(r) for r in full.raw_counts]
+    assert bare.flags == full.flags
+    n = len(registry)
+    assert full.flags == ((n - 3, "refs failed midway", False), (n - 2, "negative raw count -1.0", False))
+    assert repr(bare.values[-1]) == "-0.0"
+
+
+def test_fixture_vectors_without_captures_are_unchanged():
+    paths = sorted((Path(__file__).parent / "fixtures").rglob("*.conllu"))
+    assert len(paths) == 63
+    for path in paths:
+        assert_captures_change_nothing(parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem))
+
+
+@given(seed=seeds, language=languages)
+@settings(max_examples=30, deadline=None)
+def test_vectors_without_captures_are_unchanged(seed, language):
+    assert_captures_change_nothing(make_doc(seed, language))
 
 
 MAX_EDITS = 3

@@ -129,53 +129,100 @@ class TestMultiwordRanges:
 
     def test_range_bounds_checked(self):
         bad = self.PAYLOAD.replace("1-2", "1-9", 1)
-        with pytest.raises(ParseError, match="exceeds"):
-            parse_conllu(bad, doc_id="x")
+        raises_at(bad, "token range 1-9 exceeds sentence length 3", 1)
 
     def test_inverted_range_rejected(self):
         bad = self.PAYLOAD.replace("1-2", "2-1", 1)
-        with pytest.raises(ParseError, match="range"):
-            parse_conllu(bad, doc_id="x")
+        raises_at(bad, "invalid token range 2-1", 1)
 
     @pytest.mark.parametrize("rid", ["0-1", "01-2", "1-02", "-2", "1-", "1-2-3", "+1-2"])
     def test_range_id_that_does_not_round_trip_rejected(self, rid):
         bad = self.PAYLOAD.replace("1-2", rid, 1)
-        with pytest.raises(ParseError, match="range id") as exc:
-            parse_conllu(bad, doc_id="x")
-        assert exc.value.line == 1
+        raises_at(bad, f"invalid token range id {rid!r}", 1)
+
+
+def raises_at(payload: str, message: str, line: int) -> None:
+    """``payload`` is rejected with exactly ``message``, reported at ``line``."""
+    with pytest.raises(ParseError) as exc:
+        parse_conllu(payload, doc_id="x")
+    assert exc.value.line == line
+    assert str(exc.value) == (f"line {line}: {message}" if line else message)
+
+
+ROOT = tline(1, "a", "a", "NOUN", 0, "root")
+
+# (malformed input, exact message, reported line); the tree errors come from
+# the model and are reported at the first token line of their sentence
+MALFORMED = [
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 1, "dep"), tline(2, "c", "c", "NOUN", 1, "dep")]),
+                 "token id 2 out of sequence, expected 3", 3, id="repeated-id"),
+    pytest.param(tline(2, "a", "a", "NOUN", 0, "root"),
+                 "token id 2 out of sequence, expected 1", 1, id="first-id-not-1"),
+    pytest.param(tline("x", "a", "a", "NOUN", 0, "root"), "invalid token id 'x'", 1, id="id-letters"),
+    pytest.param(tline("\u00b2", "a", "a", "NOUN", 0, "root"),
+                 "invalid token id '\u00b2'", 1, id="id-superscript-digit"),
+    pytest.param(tline(1, "a", "a", "noun", 0, "root"), "invalid UPOS tag 'noun'", 1, id="upos-lowercase"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", "x", "dep")]),
+                 "invalid HEAD 'x'", 2, id="head-letters"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", "\u0661", "dep")]),
+                 "invalid HEAD '\u0661'", 2, id="head-non-ascii-digit"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 3, "dep")]),
+                 "HEAD 3 out of range for 2-token sentence", 2, id="head-past-end"),
+    pytest.param(tline(1, "a", "a", "NOUN", 0, "root", feats="=x"), "malformed feature '=x'", 1,
+                 id="feature-no-key"),
+    pytest.param(tline(1, "a", "a", "NOUN", 0, "root", feats="N=1|"), "malformed feature ''", 1,
+                 id="feature-empty-item"),
+    pytest.param(tline(1, "a", "a", "NOUN", 0, "root", feats="N="), "malformed feature 'N='", 1,
+                 id="feature-no-value"),
+    pytest.param("\n".join(["\t".join(["2-2", "aa", "_", "_", "_", "_", "_", "_", "_", "_"]),
+                            ROOT, tline(2, "b", "b", "NOUN", 1, "dep")]),
+                 "invalid token range 2-2", 1, id="range-one-token"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 1, "dep"),
+                            "\t".join(["1-2", "ab", "_", "_", "_", "_", "_", "_", "_", "_"]),
+                            "\t".join(["2-3", "bc", "_", "_", "_", "_", "_", "_", "_", "_"]),
+                            tline(3, "c", "c", "NOUN", 1, "dep")]),
+                 "overlapping token range 2-3", 4, id="range-overlap"),
+    pytest.param("\n".join(["# c", "\t".join(["1-2", "ab", "_", "_", "_", "_", "_", "_", "_", "_"]), ""]),
+                 "token range without token lines", 2, id="range-without-tokens"),
+    pytest.param("\n".join([ROOT, "", "# c", tline(1, "b", "b", "NOUN", 2, "dep"),
+                            tline(2, "c", "c", "NOUN", 1, "dep")]),
+                 "sentence has 0 roots, expected 1", 4, id="tree-cycle-no-root"),
+    pytest.param("\n".join(["\t".join(["1-2", "ab", "_", "_", "_", "_", "_", "_", "_", "_"]),
+                            ROOT, tline(2, "b", "b", "NOUN", 2, "dep")]),
+                 "token 1 is its own head", 2, id="tree-own-head"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 3, "dep"), tline(3, "c", "c", "NOUN", 2, "dep")]),
+                 "head relation is not a connected tree", 1, id="tree-detached-cycle"),
+]
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize("payload, message, line", MALFORMED)
+    def test_malformed_input_message_and_line(self, payload, message, line):
+        raises_at(payload, message, line)
+
     def test_wrong_column_count(self):
         payload = "\t".join(["1", "cat", "cat", "NOUN", "_", "_", "0", "root", "_"])  # 9 cols
-        with pytest.raises(ParseError, match="10") as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 1
+        raises_at(payload, "expected 10 tab-separated columns, got 9", 1)
 
     def test_empty_node_rejected(self):
         payload = "\n".join([
             tline(1, "cat", "cat", "NOUN", 0, "root"),
             tline("1.1", "ghost", "ghost", "NOUN", 0, "root"),
         ])
-        with pytest.raises(ParseError, match="empty node"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "empty nodes are not supported (id '1.1')", 2)
 
     def test_invalid_upos(self):
         payload = tline(1, "cat", "cat", "NOUNZ", 0, "root") + "\n"
-        with pytest.raises(ParseError, match="UPOS"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "invalid UPOS tag 'NOUNZ'", 1)
 
     def test_missing_head(self):
         payload = tline(1, "cat", "cat", "NOUN", "_", "root") + "\n"
-        with pytest.raises(ParseError, match="HEAD"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "missing HEAD", 1)
 
     @pytest.mark.parametrize("tid", ["01", "0", "+1", " 1", "1_0", "\u0661"])
     def test_token_id_that_does_not_round_trip(self, tid):
         payload = "\n".join(["# c", tline(tid, "cat", "cat", "NOUN", 0, "root")])
-        with pytest.raises(ParseError, match="invalid token id") as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 2
+        raises_at(payload, f"invalid token id {tid!r}", 2)
 
     @pytest.mark.parametrize("head", ["01", "00", "+1", "-1"])
     def test_head_that_does_not_round_trip(self, head):
@@ -183,9 +230,7 @@ class TestParseErrors:
             tline(1, "a", "a", "NOUN", 0, "root"),
             tline(2, "b", "b", "NOUN", head, "dep"),
         ])
-        with pytest.raises(ParseError, match="HEAD") as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 2
+        raises_at(payload, f"invalid HEAD {head!r}", 2)
 
     @pytest.mark.parametrize("column, kwargs", [
         ("LEMMA", {"lemma": ""}),
@@ -198,9 +243,7 @@ class TestParseErrors:
         fields = {"tid": 2, "form": "b", "lemma": "b", "upos": "NOUN", "head": 1, "deprel": "dep"}
         fields.update(kwargs)
         payload = "\n".join([tline(1, "a", "a", "NOUN", 0, "root"), tline(**fields)])
-        with pytest.raises(ParseError, match=f"empty {column} column") as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 2
+        raises_at(payload, f"empty {column} column", 2)
 
     def test_empty_column_on_range_line_rejected(self):
         payload = "\n".join([
@@ -208,51 +251,42 @@ class TestParseErrors:
             tline(1, "do", "do", "AUX", 0, "root"),
             tline(2, "n't", "not", "PART", 1, "advmod"),
         ])
-        with pytest.raises(ParseError, match="empty MISC column") as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 1
+        raises_at(payload, "empty MISC column", 1)
 
     def test_head_out_of_range(self):
         payload = tline(1, "cat", "cat", "NOUN", 5, "dep") + "\n"
-        with pytest.raises(ParseError, match="HEAD"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "HEAD 5 out of range for 1-token sentence", 1)
 
     def test_missing_deprel(self):
         payload = tline(1, "cat", "cat", "NOUN", 0, "_") + "\n"
-        with pytest.raises(ParseError, match="DEPREL"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "missing DEPREL", 1)
 
     def test_malformed_feature(self):
         payload = tline(1, "cat", "cat", "NOUN", 0, "root", feats="Number") + "\n"
-        with pytest.raises(ParseError, match="feature"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "malformed feature 'Number'", 1)
 
     def test_duplicate_feature_key(self):
         payload = tline(1, "cat", "cat", "NOUN", 0, "root", feats="N=1|N=2") + "\n"
-        with pytest.raises(ParseError, match="duplicate"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "duplicate feature key 'N'", 1)
 
     def test_id_out_of_sequence(self):
         payload = "\n".join([
             tline(1, "a", "a", "NOUN", 0, "root"),
             tline(3, "b", "b", "NOUN", 1, "dep"),
         ])
-        with pytest.raises(ParseError, match="sequence"):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "token id 3 out of sequence, expected 2", 2)
 
     def test_two_roots_reported_with_line(self):
         payload = "\n".join([
+            "# c",
             tline(1, "a", "a", "NOUN", 0, "root"),
             tline(2, "b", "b", "NOUN", 0, "root"),
         ])
-        with pytest.raises(ParseError):
-            parse_conllu(payload, doc_id="x")
+        raises_at(payload, "sentence has 2 roots, expected 1", 2)
 
     def test_empty_payload(self):
-        with pytest.raises(ParseError, match="empty document"):
-            parse_conllu("", doc_id="x")
-        with pytest.raises(ParseError, match="empty document"):
-            parse_conllu("# language = en\n\n", doc_id="x")
+        raises_at("", "empty document: no token lines found", 0)
+        raises_at("# language = en\n\n", "empty document: no token lines found", 0)
 
     def test_error_line_numbers_are_exact(self):
         payload = "\n".join([
@@ -261,9 +295,7 @@ class TestParseErrors:
             "",
             tline(1, "b", "b", "BAD", 0, "root"),
         ])
-        with pytest.raises(ParseError) as exc:
-            parse_conllu(payload, doc_id="x")
-        assert exc.value.line == 4
+        raises_at(payload, "invalid UPOS tag 'BAD'", 4)
 
 
 class TestRoundTrip:

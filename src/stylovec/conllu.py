@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -25,9 +24,7 @@ from .model import (
 )
 
 _COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "DEPS", "MISC")
-_TOKEN_ID = re.compile(r"[1-9][0-9]*")
 _RANGE_ID = re.compile(r"([1-9][0-9]*)-([1-9][0-9]*)")
-_HEAD = re.compile(r"0|[1-9][0-9]*")
 
 log = logging.getLogger("stylovec")
 
@@ -40,15 +37,7 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(slots=True)
-class _RawToken:
-    line: int
-    cols: list[str]
-
-
 def _parse_feats(raw: str, line: int) -> dict[str, str]:
-    if raw == "_":
-        return {}
     feats: dict[str, str] = {}
     for item in raw.split("|"):
         key, sep, value = item.partition("=")
@@ -64,55 +53,40 @@ def _parse_misc(raw: str) -> tuple[str | None, bool]:
     """Extract (entity label, space_after) from the MISC column."""
     entity = None
     space_after = True
-    if raw and raw != "_":
-        for item in raw.split("|"):
-            key, _, value = item.partition("=")
-            if key == "NER" and value:
-                entity = value
-            elif key == "SpaceAfter" and value == "No":
-                space_after = False
+    for item in raw.split("|"):
+        key, _, value = item.partition("=")
+        if key == "NER" and value:
+            entity = value
+        elif key == "SpaceAfter" and value == "No":
+            space_after = False
     return entity, space_after
 
 
-def _build_sentence(rows: list[_RawToken], ranges: list[tuple[int, int, int, str, str]]) -> Sentence:
+def _build_sentence(rows: list[tuple[int, list[str]]],
+                    ranges: list[tuple[int, int, int, str, str]]) -> Sentence:
     tokens: list[Token] = []
     n = len(rows)
-    for pos, raw in enumerate(rows):
-        cols = raw.cols
-        tid = int(cols[0])
-        if tid != pos + 1:
-            raise ParseError(f"token id {tid} out of sequence, expected {pos + 1}", raw.line)
-        form = cols[1]
-        lemma = cols[2] if cols[2] != "_" else form
-        upos = cols[3]
+    for pos, (line, cols) in enumerate(rows):
+        tid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+        if int(tid) != pos + 1:
+            raise ParseError(f"token id {tid} out of sequence, expected {pos + 1}", line)
         if upos not in UPOS_TAGS:
-            raise ParseError(f"invalid UPOS tag {upos!r}", raw.line)
-        xpos = cols[4] if cols[4] != "_" else None
-        feats = _parse_feats(cols[5], raw.line)
-        if cols[6] == "_":
-            raise ParseError("missing HEAD", raw.line)
-        if not _HEAD.fullmatch(cols[6]):
-            raise ParseError(f"invalid HEAD {cols[6]!r}", raw.line)
-        head_id = int(cols[6])
-        if head_id < 0 or head_id > n:
-            raise ParseError(f"HEAD {head_id} out of range for {n}-token sentence", raw.line)
-        deprel = cols[7]
+            raise ParseError(f"invalid UPOS tag {upos!r}", line)
+        feats = _parse_feats(feats, line) if feats != "_" else {}
+        if head == "_":
+            raise ParseError("missing HEAD", line)
+        if not (head.isascii() and head.isdigit()) or head[0] == "0" and head != "0":
+            raise ParseError(f"invalid HEAD {head!r}", line)
+        head_id = int(head)
+        if head_id > n:
+            raise ParseError(f"HEAD {head_id} out of range for {n}-token sentence", line)
         if deprel == "_":
-            raise ParseError("missing DEPREL", raw.line)
-        entity, space_after = _parse_misc(cols[9])
-        tokens.append(Token(
-            index=pos,
-            form=form,
-            lemma=lemma,
-            upos=upos,
-            xpos=xpos,
-            feats=feats,
-            head=None if head_id == 0 else head_id - 1,
-            deprel=deprel,
-            deps=cols[8],
-            entity=entity,
-            space_after=space_after,
-        ))
+            raise ParseError("missing DEPREL", line)
+        entity, space_after = _parse_misc(misc) if misc != "_" else (None, True)
+        tokens.append(Token(pos, form, form if lemma == "_" else lemma, upos,
+                            None if xpos == "_" else xpos, feats,
+                            None if head_id == 0 else head_id - 1, deprel, deps,
+                            entity, space_after))
     mw = []
     last_end = -1
     for line, start, end, form, misc in ranges:
@@ -123,9 +97,9 @@ def _build_sentence(rows: list[_RawToken], ranges: list[tuple[int, int, int, str
         if start <= last_end:
             raise ParseError(f"overlapping token range {start}-{end}", line)
         last_end = end
-        _, space_after = _parse_misc(misc)
+        _, space_after = _parse_misc(misc) if misc != "_" else (None, True)
         mw.append(MultiwordRange(start=start - 1, end=end - 1, form=form, space_after=space_after))
-    first = rows[0].line
+    first = rows[0][0]
     try:
         return Sentence(tokens=tuple(tokens), ranges=tuple(mw))
     except ModelError as exc:
@@ -142,7 +116,7 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
         payload = payload[1:]
     payload = payload.replace("\r\n", "\n")
     sentences: list[Sentence] = []
-    rows: list[_RawToken] = []
+    rows: list[tuple[int, list[str]]] = []
     ranges: list[tuple[int, int, int, str, str]] = []
     comment_language: str | None = None
 
@@ -171,17 +145,18 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
         if "" in cols:
             raise ParseError(f"empty {_COLUMNS[cols.index('')]} column", lineno)
         tid = cols[0]
-        if "-" in tid:
+        # ASCII digits without a leading zero: str(int(tid)) == tid
+        if tid.isascii() and tid.isdigit() and tid[0] != "0":
+            rows.append((lineno, cols))
+        elif "-" in tid:
             match = _RANGE_ID.fullmatch(tid)
             if match is None:
                 raise ParseError(f"invalid token range id {tid!r}", lineno)
             ranges.append((lineno, int(match[1]), int(match[2]), cols[1], cols[9]))
-            continue
-        if "." in tid:
+        elif "." in tid:
             raise ParseError(f"empty nodes are not supported (id {tid!r})", lineno)
-        if not _TOKEN_ID.fullmatch(tid):
+        else:
             raise ParseError(f"invalid token id {tid!r}", lineno)
-        rows.append(_RawToken(line=lineno, cols=cols))
     flush()
     if not sentences:
         raise ParseError("empty document: no token lines found")

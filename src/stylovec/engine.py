@@ -77,6 +77,14 @@ class DocContext:
         return index
 
     @cached_property
+    def surface_index(self) -> dict[str, list[TokenRef]]:
+        """Refs by form as written, case preserved."""
+        index: dict[str, list[TokenRef]] = {}
+        for si, ti, tok in self.refs:
+            index.setdefault(tok.form, []).append((si, ti))
+        return index
+
+    @cached_property
     def non_punct_refs(self) -> list[tuple[int, int, Token]]:
         return [(si, ti, tok) for si, ti, tok in self.refs if not tok.is_punct]
 
@@ -136,10 +144,15 @@ class MetricResult:
 
 def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
     """Run one rule: (value, raw_count, captured, error, degenerate). Refs always
-    become a set, so a failing ref generator is an error; only ``captures`` sorts them."""
+    become a set and are checked, so a failing ref generator or a ref that is not
+    a ``(sentence, token)`` pair of ints is an error; only ``captures`` sorts them."""
     try:
         refs, raw = metric.rule(ctx)
         unique = set(refs)
+        for ref in unique:
+            if not (isinstance(ref, tuple) and len(ref) == 2
+                    and isinstance(ref[0], int) and isinstance(ref[1], int)):
+                raise ValueError(f"ref {ref!r} is not a (sentence, token) pair of ints")
         captured = tuple(sorted(unique)) if captures else ()
         if raw is None:
             raw = float(len(unique))

@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .engine import DocContext, TokenRef
-from .universal import token_incidence
+from .universal import key_incidence
 
 log = logging.getLogger("stylovec")
 
@@ -104,10 +104,8 @@ def lexicon_incidence(lexicon: Lexicon):
     """Rule capturing the tokens the lexicon matches under its mode."""
     if lexicon.mode == "prefix":
         prefixes = tuple(lexicon.entries)
-        def prefixed(tok, sent) -> bool:
-            form = tok.form.casefold()
-            return form not in lexicon.exceptions and form.startswith(prefixes)
-        return token_incidence(prefixed)
+        return key_incidence("form_index", lambda form: form not in lexicon.exceptions
+                             and form.startswith(prefixes))
     if lexicon.mode == "phrase":
         index = lexicon.phrase_index
         return lambda ctx: (_phrase_refs(ctx, index), None)
@@ -138,10 +136,6 @@ def _phrase_refs(ctx: DocContext, index: dict[str, list[tuple[str, ...]]]) -> li
     return refs
 
 
-def _entry_of(tok, mode: str) -> str:
-    return (tok.lemma if mode == "lemma_exact" else tok.form).casefold()
-
-
 def sentiment_incidence(lexicon: Lexicon, sign: str):
     """Share of tokens hitting entries with weight > 0 (``positive``) or
     weight < 0 (``negative``); zero-weight entries count in neither."""
@@ -154,7 +148,8 @@ def sentiment_incidence(lexicon: Lexicon, sign: str):
         raise LexiconError(f"{lexicon.name}: unweighted entries, e.g. {sorted(missing)[0]!r}")
     hits = frozenset(e for e, w in lexicon.weights.items()
                      if (w > 0 if sign == "positive" else w < 0))
-    return token_incidence(lambda tok, sent: _entry_of(tok, lexicon.mode) in hits)
+    return key_incidence("lemma_index" if lexicon.mode == "lemma_exact" else "form_index",
+                         hits.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -225,4 +220,4 @@ def norms_incidence(norms: AffectiveNorms, dimension: str, side: str):
     mean = norms.means[dimension]
     hits = frozenset(lemma for lemma, row in norms.scores.items()
                      if (row[dimension] > mean if side == "above_mean" else row[dimension] <= mean))
-    return token_incidence(lambda tok, sent: tok.lemma.casefold() in hits)
+    return key_incidence("lemma_index", hits.__contains__)

@@ -60,10 +60,6 @@ class Token:
     def is_punct(self) -> bool:
         return self.upos == "PUNCT"
 
-    @property
-    def is_root(self) -> bool:
-        return self.head is None
-
     def deprel_base(self) -> str:
         """Base relation without the subtype (``advmod:neg`` -> ``advmod``)."""
         rel = self.deprel
@@ -98,36 +94,46 @@ class Sentence:
         roots = []
         kids: list[list[int]] = [[] for _ in range(n)]
         for i, tok in enumerate(self.tokens):
+            head = tok.head
             if tok.index != i:
                 raise ModelError(f"token index {tok.index} at position {i}")
-            if tok.head is None:
+            if head is None:
                 roots.append(i)
                 continue
-            if tok.head == i:
+            if head == i:
                 raise ModelError(f"token {i} is its own head")
-            if not 0 <= tok.head < n:
-                raise ModelError(f"head {tok.head} outside sentence of {n} tokens")
+            if not 0 <= head < n:
+                raise ModelError(f"head {head} outside sentence of {n} tokens")
             if not tok.deprel or tok.deprel == "_":
                 raise ModelError(f"empty deprel on non-root token {i}")
-            kids[tok.head].append(i)
+            kids[head].append(i)
         if len(roots) != 1:
             raise ModelError(f"sentence has {len(roots)} roots, expected 1")
-        # reachability from the root doubles as the acyclicity check
-        seen = [False] * n
+        # every token has one head, so a walk down from the root meets each
+        # token at most once; reaching all n is the acyclicity check
+        reached = 1
         stack = [roots[0]]
         while stack:
-            i = stack.pop()
-            seen[i] = True
-            stack.extend(kids[i])
-        if not all(seen):
+            below = kids[stack.pop()]
+            reached += len(below)
+            stack.extend(below)
+        if reached != n:
             raise ModelError("head relation is not a connected tree")
-        object.__setattr__(self, "_children", tuple(tuple(k) for k in kids))
+        object.__setattr__(self, "_children", tuple(map(tuple, kids)))
         object.__setattr__(self, "_root_index", roots[0])
         object.__setattr__(self, "_text", self._reconstruct())
 
     def _reconstruct(self) -> str:
-        covered = {r.start: r for r in self.ranges}
         parts: list[str] = []
+        if not self.ranges:
+            for tok in self.tokens:
+                parts.append(tok.form)
+                if tok.space_after:
+                    parts.append(" ")
+            if self.tokens[-1].space_after:
+                parts.pop()
+            return "".join(parts)
+        covered = {r.start: r for r in self.ranges}
         i = 0
         n = len(self.tokens)
         while i < n:

@@ -115,14 +115,6 @@ def random_document(rng: random.Random, doc_id: str, language: str = "en",
     return Document(doc_id=doc_id, language=language, sentences=tuple(sentences))
 
 
-def random_corpus(rng: random.Random, n_docs: int, language: str = "en",
-                  min_tokens: int = 1, max_tokens: int = 500) -> list[Document]:
-    return [
-        random_document(rng, f"fuzz{i:04d}", language, rng.randint(min_tokens, max_tokens))
-        for i in range(n_docs)
-    ]
-
-
 # --------------------------------------------------------------- transforms
 
 def duplicate(doc: Document, k: int) -> Document:

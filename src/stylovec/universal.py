@@ -155,6 +155,14 @@ def token_incidence(pred):
     return rule
 
 
+def key_incidence(index: str, test):
+    """Capture every token filed in the document index ``index`` (e.g.
+    ``"lemma_index"``) under a key passing ``test``; each key is tested once."""
+    def rule(ctx: DocContext):
+        return [ref for key, refs in getattr(ctx, index).items() if test(key) for ref in refs], None
+    return rule
+
+
 def sentence_incidence(pred):
     """Capture all tokens of every sentence for which ``pred(sentence)`` holds."""
     def rule(ctx: DocContext):
@@ -172,8 +180,23 @@ def sentence_refs(find):
 
 
 def token_pattern(test: TokenTest):
-    """Capture every token satisfying ``test``."""
-    return token_incidence(test.matches)
+    """Capture every token satisfying ``test``; a test that sets ``upos``
+    is tried only on the tokens of its tags."""
+    if test.upos is None:
+        return token_incidence(test.matches)
+    tags = sorted(test.upos)
+    matches = test.matches
+    def rule(ctx: DocContext):
+        sents = ctx.doc.sentences
+        index = ctx.upos_index
+        refs = []
+        for tag in tags:
+            for si, ti in index.get(tag, ()):
+                sent = sents[si]
+                if matches(sent.tokens[ti], sent):
+                    refs.append((si, ti))
+        return refs, None
+    return rule
 
 
 def sentence_pattern(clauses: tuple[SentenceClause, ...]):
@@ -244,10 +267,11 @@ def word_length_incidence(min_syllables: int | None = None,
     return token_incidence(long_enough)
 
 
+# kind -> test on the UPOS tag
 _SPLITS = {
-    "content": lambda tok, sent: tok.upos in CONTENT_UPOS,
-    "function": lambda tok, sent: tok.upos in FUNCTION_UPOS,
-    "other": lambda tok, sent: tok.upos not in CONTENT_UPOS and tok.upos not in FUNCTION_UPOS,
+    "content": CONTENT_UPOS.__contains__,
+    "function": FUNCTION_UPOS.__contains__,
+    "other": lambda upos: upos not in CONTENT_UPOS and upos not in FUNCTION_UPOS,
 }
 
 
@@ -256,7 +280,7 @@ def function_content_split(kind: str):
     (PUNCT, NUM, INTJ, SYM, X); the three shares partition the document."""
     if kind not in _SPLITS:
         raise ValueError(f"unknown split kind {kind!r}")
-    return token_incidence(_SPLITS[kind])
+    return key_incidence("upos_index", _SPLITS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +318,7 @@ def graphical_incidence(kind: str, emoticons: frozenset[str] = frozenset()):
     if kind not in GRAPHICAL_KINDS:
         raise ValueError(f"unknown graphical kind {kind!r}")
     test = emoticons.__contains__ if kind == "emoticon" else _FORM_TESTS[kind]
-    return token_incidence(lambda tok, sent: test(tok.form))
+    return key_incidence("surface_index", test)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ class TestDocContext:
         assert ctx.upos_index["PUNCT"] == [(0, 3)]
         assert ctx.lemma_index["cat"] == [(0, 1), (1, 0)]  # casefolded
         assert ctx.form_index["cat"] == [(0, 1), (1, 0)]
+        assert ctx.surface_index["Cat"] == [(0, 1)]  # case preserved
+        assert ctx.surface_index["cat"] == [(1, 0)]
         assert len(ctx.non_punct_refs) == 4
 
     def test_memo_computes_once(self):
@@ -247,3 +249,16 @@ class TestEvaluateAll:
         v = evaluate_all(reg, d)
         res = v.results[0]
         assert res.value == res.raw_count / d.token_count == 0.5
+
+    @pytest.mark.parametrize("bad", ["x", (0,), (0, 0, 0), (0, "1"), ("0", 1), (0.0, 1), frozenset({0, 1})],
+                             ids=["str", "single", "triple", "str-token", "str-sentence", "float", "frozenset"])
+    def test_bad_ref_is_the_same_error_with_or_without_captures(self, bad):
+        d = doc(word_sentence(*"abcdefgh"))
+        reg = Registry([make_metric("BAD", lambda ctx: ([(0, 0), bad], None)),
+                        make_metric("GOOD", lambda ctx: ([(0, 0)], None))])
+        message = f"ref {bad!r} is not a (sentence, token) pair of ints"
+        for captures in (True, False):
+            v = evaluate_all(reg, d, captures=captures)
+            assert v.values == (0.0, 0.125)
+            assert v.raw_counts == (0.0, 1.0)
+            assert v.flags == ((0, message, False),)

@@ -15,12 +15,18 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from stylovec import lexicons, packs, universal
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
-from stylovec.engine import Metric, MetricDescriptor, Registry, evaluate_all
+from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
+from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS
 from stylovec.packs import registry_for
 from stylovec.synth import duplicate, random_document
+from stylovec.universal import token_incidence, token_pattern
+
+from conftest import doc as make_fixture_doc, tok, sent
 
 LANGUAGES = ("en", "pl", "uk", "ru")
 
@@ -173,6 +179,139 @@ def test_fixture_vectors_without_captures_are_unchanged():
 @settings(max_examples=30, deadline=None)
 def test_vectors_without_captures_are_unchanged(seed, language):
     assert_captures_change_nothing(make_doc(seed, language))
+
+
+# Families that take their candidates from a document index capture
+# exactly the tokens that a scan of every token with the per-token
+# predicate captures.
+
+INDEXED_FAMILIES = ("feat_incidence", "token_pattern", "content_function", "graphical",
+                    "lexicon", "sentiment", "norms")
+
+
+def _scan_test(params, pack):
+    return token_incidence(packs._parse_test(params["test"]).matches)
+
+
+def _scan_split(params, pack):
+    content, function = params["kind"] == "content", params["kind"] == "function"
+    return token_incidence(lambda t, s: (t.upos in CONTENT_UPOS) == content
+                           and (t.upos in FUNCTION_UPOS) == function)
+
+
+def _scan_graphical(params, pack):
+    kind = params["kind"]
+    test = pack.emoticons.__contains__ if kind == "emoticon" else universal._FORM_TESTS[kind]
+    return token_incidence(lambda t, s: test(t.form))
+
+
+def _scan_lexicon(params, pack):
+    lexicon = pack.lexicon(params["lexicon"])
+    if lexicon.mode != "prefix":
+        return lexicons.lexicon_incidence(lexicon)
+    prefixes = tuple(lexicon.entries)
+    return token_incidence(lambda t, s: t.form.casefold() not in lexicon.exceptions
+                           and t.form.casefold().startswith(prefixes))
+
+
+def _scan_sentiment(params, pack):
+    lexicon = pack.lexicon(params["lexicon"])
+    positive = params["sign"] == "positive"
+    hits = {e for e, w in lexicon.weights.items() if (w > 0 if positive else w < 0)}
+    key = (lambda t: t.lemma) if lexicon.mode == "lemma_exact" else (lambda t: t.form)
+    return token_incidence(lambda t, s: key(t).casefold() in hits)
+
+
+def _scan_norms(params, pack):
+    dim, above = params["dimension"], params["side"] == "above_mean"
+    mean = pack.norms.means[dim]
+    hits = {lemma for lemma, row in pack.norms.scores.items()
+            if (row[dim] > mean if above else row[dim] <= mean)}
+    return token_incidence(lambda t, s: t.lemma.casefold() in hits)
+
+
+# each indexed family as the scan of every token that it replaces
+SCANS = {"feat_incidence": _scan_test, "token_pattern": _scan_test,
+         "content_function": _scan_split, "graphical": _scan_graphical,
+         "lexicon": _scan_lexicon, "sentiment": _scan_sentiment, "norms": _scan_norms}
+_SCANNED: dict[str, Registry] = {}
+
+
+def scanned_pack(language: str) -> Registry:
+    """The stock pack with every indexed family built as a scan of every token."""
+    if language not in _SCANNED:
+        with pytest.MonkeyPatch.context() as mp:
+            for family, scan in SCANS.items():
+                mp.setitem(packs.FAMILIES, family, (scan, *packs.FAMILIES[family][1:]))
+            _SCANNED[language] = packs.load_pack(language)
+    return _SCANNED[language]
+
+
+def indexed_metric_ids(language: str) -> list[str]:
+    """Metrics of the indexed families; of the lexicon family, only prefix mode is indexed."""
+    cfg = packs._read_manifest(language)
+    return [section.partition(" ")[2] for section in cfg.sections()
+            if cfg[section].get("family") in INDEXED_FAMILIES
+            and (cfg[section]["family"] != "lexicon"
+                 or cfg[f"lexicon {cfg[section]['lexicon']}"]["mode"] == "prefix")]
+
+
+# Nested tests (no stock metric has one), with and without a top-level upos.
+NESTED_TESTS = [packs._parse_test(spec) for spec in (
+    "upos=VERB,AUX; child.deprel=nsubj,obj",
+    "upos=NOUN,PROPN,PRON; nochild.upos=DET",
+    "upos=ADJ,ADV; head.upos=NOUN,VERB",
+    "child.upos=PUNCT; nochild.deprel=cc",
+    "head.upos=VERB,NOUN; head.feat.Number=Sing",
+    "upos=VERB; child.upos=NOUN,PRON; child.nochild.upos=ADP; head.upos=VERB",
+)]
+
+
+def assert_indexed_families_match_scans(doc):
+    ctx = DocContext(doc)
+    stock, scanned = registry_for(doc.language), scanned_pack(doc.language)
+    ids = indexed_metric_ids(doc.language)
+    assert len(ids) > 20
+    for mid in ids:
+        assert scanned.get(mid).rule.__qualname__ == "token_incidence.<locals>.rule", mid
+        assert set(stock.get(mid).rule(ctx)[0]) == set(scanned.get(mid).rule(ctx)[0]), mid
+    for test in NESTED_TESTS:
+        assert set(token_pattern(test)(ctx)[0]) == set(token_incidence(test.matches)(ctx)[0]), test
+
+
+def nasa_doc():
+    return make_fixture_doc(sent(
+        tok(0, "NASA", upos="PROPN", head=1, deprel="nsubj"),
+        tok(1, "and", upos="CCONJ", head=2, deprel="cc"),
+        tok(2, "nasa", upos="PROPN", head=None),
+        tok(3, "NASA", upos="PROPN", head=2, deprel="conj"),
+    ))
+
+
+def test_indexed_families_match_scans_on_fixture_documents():
+    paths = sorted((Path(__file__).parent / "fixtures").rglob("*.conllu"))
+    docs = [parse_conllu(p.read_text(encoding="utf-8"), doc_id=p.stem) for p in paths]
+    assert {d.language for d in docs} == set(LANGUAGES)
+    for doc in docs + [nasa_doc()]:
+        assert_indexed_families_match_scans(doc)
+
+
+def test_every_indexed_family_has_stock_metrics():
+    families = {packs._read_manifest(lang)[f"metric {mid}"]["family"]
+                for lang in LANGUAGES for mid in indexed_metric_ids(lang)}
+    assert families == set(INDEXED_FAMILIES)
+
+
+def test_capitalized_reads_the_case_preserving_surface_index():
+    ctx = DocContext(nasa_doc())
+    rule = registry_for("en").get("GR_CAPS").rule
+    assert sorted(rule(ctx)[0]) == [(0, 0), (0, 3)]
+
+
+@given(seed=seeds, language=languages)
+@settings(max_examples=30, deadline=None)
+def test_indexed_families_match_scans(seed, language):
+    assert_indexed_families_match_scans(make_doc(seed, language))
 
 
 MAX_EDITS = 3

@@ -23,10 +23,12 @@ def _negative_zero_rule(ctx):
     return [], -0.0
 
 
-@pytest.fixture
-def broken_metric_registries(monkeypatch):
-    """Every stock registry plus a metric whose rule always raises and
-    one whose count is -0.0.
+def _bad_ref_rule(ctx):
+    return [(0, 0), "x"], None
+
+
+def _with_rules(monkeypatch, rules):
+    """Make the runner use every stock registry plus ``rules``, ``(id, rule)`` pairs.
 
     The runner looks ``registry_for`` up on its own module, and forked
     workers inherit the patch, so both ``jobs`` paths see the same
@@ -38,7 +40,7 @@ def broken_metric_registries(monkeypatch):
     def registry_for(language, categories=None, metric_ids=None):
         if language not in cache:
             registry = Registry(stock(language, categories, metric_ids))
-            for mid, rule in (("X_BROKEN", _broken_rule), ("X_NEGATIVE_ZERO", _negative_zero_rule)):
+            for mid, rule in rules:
                 registry.register(Metric(
                     MetricDescriptor(id=mid, category="custom", language=language, description=""),
                     rule,
@@ -48,6 +50,14 @@ def broken_metric_registries(monkeypatch):
 
     monkeypatch.setattr(runner, "registry_for", registry_for)
     return registry_for
+
+
+@pytest.fixture
+def broken_metric_registries(monkeypatch):
+    """Every stock registry plus a metric whose rule always raises and
+    one whose count is -0.0."""
+    return _with_rules(monkeypatch, (("X_BROKEN", _broken_rule),
+                                     ("X_NEGATIVE_ZERO", _negative_zero_rule)))
 
 
 def _fields(vector, captured=None):
@@ -95,3 +105,14 @@ def test_worker_message_holds_builtins_only(broken_metric_registries, path):
     assert message[0] == ("ok" if path.exists() else "err")
     for item in _walk(message):
         assert type(item) in (*BUILTINS, tuple), type(item).__name__
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_bad_ref_is_an_error_with_or_without_debug_output(monkeypatch, tmp_path, debug):
+    _with_rules(monkeypatch, (("X_BAD_REF", _bad_ref_rule),))
+    run = analyze_corpus(CORPUS / "alpha_en.conllu", jobs=1,
+                         debug_dir=tmp_path / "debug" if debug else None)
+    [vector] = run.vectors["en"]
+    result = dict(zip(vector.metric_ids, vector.results))["X_BAD_REF"]
+    assert (result.value, result.raw_count) == (0.0, 0.0)
+    assert result.error == "ref 'x' is not a (sentence, token) pair of ints"

@@ -26,7 +26,7 @@ from stylovec.packs import registry_for
 from stylovec.synth import duplicate, random_document
 from stylovec.universal import token_incidence, token_pattern
 
-from conftest import doc as make_fixture_doc, tok, sent
+from conftest import doc as build_doc, sent, tok
 
 LANGUAGES = ("en", "pl", "uk", "ru")
 
@@ -280,7 +280,7 @@ def assert_indexed_families_match_scans(doc):
 
 
 def nasa_doc():
-    return make_fixture_doc(sent(
+    return build_doc(sent(
         tok(0, "NASA", upos="PROPN", head=1, deprel="nsubj"),
         tok(1, "and", upos="CCONJ", head=2, deprel="cc"),
         tok(2, "nasa", upos="PROPN", head=None),

@@ -15,6 +15,7 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .model import Document, Token
@@ -85,6 +86,12 @@ class DocContext:
         return index
 
     @cached_property
+    def ref_of(self) -> dict[TokenRef, TokenRef]:
+        """Every (sentence, token) ref of the document, keyed by itself."""
+        refs = list(chain.from_iterable(self.upos_index.values()))
+        return dict(zip(refs, refs))
+
+    @cached_property
     def non_punct_refs(self) -> list[tuple[int, int, Token]]:
         return [(si, ti, tok) for si, ti, tok in self.refs if not tok.is_punct]
 
@@ -145,15 +152,16 @@ class MetricResult:
 def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
     """Run one rule: (value, raw_count, captured, error, degenerate). Refs always
     become a set and are checked, so a failing ref generator or a ref that is not
-    a ``(sentence, token)`` pair of ints is an error; only ``captures`` sorts them."""
+    the ``(sentence, token)`` pair of a token of the document is an error whether
+    or not ``captures`` asks to keep the refs; kept refs are the document's own."""
     try:
         refs, raw = metric.rule(ctx)
         unique = set(refs)
-        for ref in unique:
-            if not (isinstance(ref, tuple) and len(ref) == 2
-                    and isinstance(ref[0], int) and isinstance(ref[1], int)):
-                raise ValueError(f"ref {ref!r} is not a (sentence, token) pair of ints")
-        captured = tuple(sorted(unique)) if captures else ()
+        known = ctx.ref_of
+        bad = unique.difference(known)
+        if bad:
+            raise ValueError(f"ref {min(map(repr, bad))} is not a (sentence, token) pair of the document")
+        captured = tuple(sorted(map(known.__getitem__, unique))) if captures else ()
         if raw is None:
             raw = float(len(unique))
         if raw < 0:

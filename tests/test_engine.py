@@ -250,15 +250,25 @@ class TestEvaluateAll:
         res = v.results[0]
         assert res.value == res.raw_count / d.token_count == 0.5
 
-    @pytest.mark.parametrize("bad", ["x", (0,), (0, 0, 0), (0, "1"), ("0", 1), (0.0, 1), frozenset({0, 1})],
-                             ids=["str", "single", "triple", "str-token", "str-sentence", "float", "frozenset"])
+    @pytest.mark.parametrize("bad", ["x", (0,), (0, 0, 0), (0, "1"), ("0", 1), frozenset({0, 1}),
+                                     (0, 8), (1, 0), (-1, 0)],
+                             ids=["str", "single", "triple", "str-token", "str-sentence", "frozenset",
+                                  "token-past-end", "no-such-sentence", "negative"])
     def test_bad_ref_is_the_same_error_with_or_without_captures(self, bad):
         d = doc(word_sentence(*"abcdefgh"))
         reg = Registry([make_metric("BAD", lambda ctx: ([(0, 0), bad], None)),
                         make_metric("GOOD", lambda ctx: ([(0, 0)], None))])
-        message = f"ref {bad!r} is not a (sentence, token) pair of ints"
+        message = f"ref {bad!r} is not a (sentence, token) pair of the document"
         for captures in (True, False):
             v = evaluate_all(reg, d, captures=captures)
             assert v.values == (0.0, 0.125)
             assert v.raw_counts == (0.0, 1.0)
             assert v.flags == ((0, message, False),)
+
+    def test_captures_are_the_documents_own_int_pairs(self):
+        d = doc(word_sentence(*"abcd"))
+        reg = Registry([make_metric("FLOAT", lambda ctx: ([(0.0, 1), (0, 2.0)], None))])
+        v = evaluate_all(reg, d)
+        assert v.captured == (((0, 1), (0, 2)),)
+        assert all(type(i) is int for ref in v.captured[0] for i in ref)
+        assert v.values == evaluate_all(reg, d, captures=False).values == (0.5,)

@@ -23,10 +23,6 @@ def _negative_zero_rule(ctx):
     return [], -0.0
 
 
-def _bad_ref_rule(ctx):
-    return [(0, 0), "x"], None
-
-
 def _with_rules(monkeypatch, rules):
     """Make the runner use every stock registry plus ``rules``, ``(id, rule)`` pairs.
 
@@ -107,12 +103,13 @@ def test_worker_message_holds_builtins_only(broken_metric_registries, path):
         assert type(item) in (*BUILTINS, tuple), type(item).__name__
 
 
+@pytest.mark.parametrize("bad", ["x", (0, 999)], ids=["str", "out-of-range"])
 @pytest.mark.parametrize("debug", [False, True])
-def test_bad_ref_is_an_error_with_or_without_debug_output(monkeypatch, tmp_path, debug):
-    _with_rules(monkeypatch, (("X_BAD_REF", _bad_ref_rule),))
+def test_bad_ref_is_an_error_with_or_without_debug_output(monkeypatch, tmp_path, debug, bad):
+    _with_rules(monkeypatch, (("X_BAD_REF", lambda ctx: ([(0, 0), bad], None)),))
     run = analyze_corpus(CORPUS / "alpha_en.conllu", jobs=1,
                          debug_dir=tmp_path / "debug" if debug else None)
     [vector] = run.vectors["en"]
     result = dict(zip(vector.metric_ids, vector.results))["X_BAD_REF"]
     assert (result.value, result.raw_count) == (0.0, 0.0)
-    assert result.error == "ref 'x' is not a (sentence, token) pair of ints"
+    assert result.error == f"ref {bad!r} is not a (sentence, token) pair of the document"

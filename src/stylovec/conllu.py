@@ -38,6 +38,8 @@ class ParseError(ValueError):
 
 
 def _parse_feats(raw: str, line: int) -> dict[str, str]:
+    if raw == "_":
+        return {}
     feats: dict[str, str] = {}
     for item in raw.split("|"):
         key, sep, value = item.partition("=")
@@ -51,6 +53,8 @@ def _parse_feats(raw: str, line: int) -> dict[str, str]:
 
 def _parse_misc(raw: str) -> tuple[str | None, bool]:
     """Extract (entity label, space_after) from the MISC column."""
+    if raw == "_":
+        return None, True
     entity = None
     space_after = True
     for item in raw.split("|"):
@@ -72,7 +76,7 @@ def _build_sentence(rows: list[tuple[int, list[str]]],
             raise ParseError(f"token id {tid} out of sequence, expected {pos + 1}", line)
         if upos not in UPOS_TAGS:
             raise ParseError(f"invalid UPOS tag {upos!r}", line)
-        feats = _parse_feats(feats, line) if feats != "_" else {}
+        feats = _parse_feats(feats, line)
         if head == "_":
             raise ParseError("missing HEAD", line)
         if not (head.isascii() and head.isdigit()) or head[0] == "0" and head != "0":
@@ -82,7 +86,7 @@ def _build_sentence(rows: list[tuple[int, list[str]]],
             raise ParseError(f"HEAD {head_id} out of range for {n}-token sentence", line)
         if deprel == "_":
             raise ParseError("missing DEPREL", line)
-        entity, space_after = _parse_misc(misc) if misc != "_" else (None, True)
+        entity, space_after = _parse_misc(misc)
         tokens.append(Token(pos, form, form if lemma == "_" else lemma, upos,
                             None if xpos == "_" else xpos, feats,
                             None if head_id == 0 else head_id - 1, deprel, deps,
@@ -97,7 +101,7 @@ def _build_sentence(rows: list[tuple[int, list[str]]],
         if start <= last_end:
             raise ParseError(f"overlapping token range {start}-{end}", line)
         last_end = end
-        _, space_after = _parse_misc(misc) if misc != "_" else (None, True)
+        _, space_after = _parse_misc(misc)
         mw.append(MultiwordRange(start=start - 1, end=end - 1, form=form, space_after=space_after))
     first = rows[0][0]
     try:

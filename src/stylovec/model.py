@@ -124,16 +124,8 @@ class Sentence:
         object.__setattr__(self, "_text", self._reconstruct())
 
     def _reconstruct(self) -> str:
-        parts: list[str] = []
-        if not self.ranges:
-            for tok in self.tokens:
-                parts.append(tok.form)
-                if tok.space_after:
-                    parts.append(" ")
-            if self.tokens[-1].space_after:
-                parts.pop()
-            return "".join(parts)
         covered = {r.start: r for r in self.ranges}
+        parts: list[str] = []
         i = 0
         n = len(self.tokens)
         while i < n:

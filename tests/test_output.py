@@ -3,8 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stylovec import engine, runner
 from stylovec.conllu import read_document
@@ -21,6 +24,7 @@ from stylovec.output import (
 )
 from stylovec.packs import registry_for
 from stylovec.runner import analyze_corpus
+from stylovec.synth import random_document
 
 from conftest import FIXTURES, doc, load_fixture, word_sentence
 
@@ -177,6 +181,99 @@ class TestDebugCsv:
         n = write_debug_csv(vector, document, out)
         assert n == sum(len(r.captured) for r in vector.results)
         assert len(out.read_text(encoding="utf-8").splitlines()) == n + 1
+
+
+def oracle_vectors_csv(vectors, fh) -> None:
+    """Reference vector writer: one ``csv.writer`` row per vector."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("doc_id",) + vectors[0].metric_ids)
+    for vec in vectors:
+        writer.writerow([vec.doc_id] + [f"{v:.6f}" for v in vec.values])
+
+
+def oracle_debug_csv(vector, document, fh) -> None:
+    """Reference debug writer: one ``csv.writer`` row per (metric, token) pair."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(DEBUG_COLUMNS)
+    for metric_id, captured in zip(vector.metric_ids, vector.captured):
+        for si, ti in captured:
+            tok = document.sentences[si].tokens[ti]
+            writer.writerow(
+                (document.doc_id, metric_id, si, ti, tok.form, tok.lemma, tok.upos, tok.deprel)
+            )
+
+
+def assert_writers_match_oracles(vectors, documents) -> None:
+    expected = io.StringIO()
+    oracle_vectors_csv(vectors, expected)
+    got = io.StringIO()
+    assert write_vectors_csv(vectors, got) == len(vectors)
+    assert got.getvalue() == expected.getvalue()
+    for vector, document in zip(vectors, documents):
+        expected = io.StringIO()
+        oracle_debug_csv(vector, document, expected)
+        got = io.StringIO()
+        assert write_debug_csv(vector, document, got) == sum(map(len, vector.captured))
+        assert got.getvalue() == expected.getvalue()
+
+
+ODD_FORMS = ("a,b", 'say "hi"', "cr\rx", "nl\nx", "crlf\r\n", "ls\u2028x", "vt\x0bx",
+             "fs\x1cx", " pad ", "")
+ODD_DOC_IDS = ("we,ird", 'quo"te', "new\nline", "cr\rid", "ls\u2028id", "", "plain")
+
+
+class TestWritersMatchOracles:
+    """Both writers give the bytes of the per-row reference writers."""
+
+    def test_fixture_documents(self):
+        by_language: dict[str, list] = {}
+        for path in sorted(FIXTURES.rglob("*.conllu")):
+            document = read_document(path)
+            vector = evaluate_all(registry_for(document.language), document)
+            by_language.setdefault(document.language, []).append((vector, document))
+        assert sorted(by_language) == ["en", "pl", "ru", "uk"]
+        for pairs in by_language.values():
+            assert_writers_match_oracles(*zip(*pairs))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           language=st.sampled_from(("en", "pl", "uk", "ru")))
+    @settings(max_examples=20, deadline=None)
+    def test_synth_documents(self, seed, language):
+        rng = random.Random(seed)
+        documents = [random_document(rng, f"s{seed}_{i}", language, rng.randint(1, 120))
+                     for i in range(2)]
+        vectors = [evaluate_all(registry_for(language), d) for d in documents]
+        assert_writers_match_oracles(vectors, documents)
+
+    def test_odd_cells(self):
+        words = [word_sentence(*ODD_FORMS), word_sentence("x", "y")]
+        documents = [doc(*words, doc_id=doc_id) for doc_id in ODD_DOC_IDS]
+        all_refs = tuple((si, ti) for si, ti, _ in documents[0].refs())
+        values = (-0.0, math.nan, math.inf, -math.inf, 1, 1 / 3, 1e20, 0.0)
+        ids = tuple(f"M{i}" for i in range(len(values)))
+        captured = (all_refs, (), ((0, 1),), all_refs[::2], ((1, 0), (1, 1)), (), all_refs,
+                    ((0, 9),))
+        vectors = [StyloVector(d.doc_id, ids, values, values, captured=captured)
+                   for d in documents]
+        assert_writers_match_oracles(vectors, documents)
+        text = io.StringIO()
+        write_vectors_csv(vectors[-1:], text)
+        assert text.getvalue().splitlines()[1] == (
+            "plain,-0.000000,nan,inf,-inf,1.000000,0.333333,100000000000000000000.000000,"
+            "0.000000")
+
+    def test_path_sinks_hold_the_same_bytes(self, tmp_path):
+        document = doc(word_sentence(*ODD_FORMS), doc_id="crlf\r\nid")
+        refs = tuple((si, ti) for si, ti, _ in document.refs())
+        vector = StyloVector(document.doc_id, ("A", "B"), (0.5, -0.0), (1, 0),
+                             captured=(refs, refs[:1]))
+        for write, oracle, args in ((write_vectors_csv, oracle_vectors_csv, ([vector],)),
+                                    (write_debug_csv, oracle_debug_csv, (vector, document))):
+            expected = io.StringIO()
+            oracle(*args, expected)
+            out = tmp_path / f"{write.__name__}.csv"
+            write(*args, out)
+            assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestRunReport:

@@ -119,6 +119,14 @@ class Sentence:
             stack.extend(below)
         if reached != n:
             raise ModelError("head relation is not a connected tree")
+        last_end = -1
+        for rng in self.ranges:
+            # _reconstruct jumps from each range's start past its end, so a range
+            # out of order or out of bounds would send it back or past the tokens
+            if not last_end < rng.start < rng.end < n:
+                raise ModelError(f"multiword range {rng.start}-{rng.end} is empty, out of "
+                                 f"order or outside the sentence of {n} tokens")
+            last_end = rng.end
         object.__setattr__(self, "_children", tuple(map(tuple, kids)))
         object.__setattr__(self, "_root_index", roots[0])
         object.__setattr__(self, "_text", self._reconstruct())

@@ -34,6 +34,12 @@ class OutputError(ValueError):
     """Serialization contract violation."""
 
 
+class _Lines(list):
+    """A ``csv.writer`` target that keeps each written row as one item."""
+
+    write = list.append
+
+
 @contextmanager
 def _open_sink(sink: str | Path | IO[str]) -> Iterator[IO[str]]:
     if isinstance(sink, (str, Path)):
@@ -57,11 +63,17 @@ def write_vectors_csv(vectors: Sequence[StyloVector], sink: str | Path | IO[str]
             raise OutputError(
                 f"mixed schemas: document {vec.doc_id!r} does not match the first vector"
             )
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerow(("doc_id",) + schema)
+    # csv quotes each doc_id (the row "<id>,\n" less its ",\n"); one %-template
+    # prints all values of a row exactly as f"{v:.6f}" would
+    writer.writerows([(vec.doc_id, "") for vec in vectors])
+    template = "".join([",%.6f"] * len(schema)) + "\n"
+    lines[1:] = [line[:-2] + template % tuple(vec.values)
+                 for line, vec in zip(lines[1:], vectors)]
     with _open_sink(sink) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("doc_id",) + schema)
-        for vec in vectors:
-            writer.writerow([vec.doc_id] + [f"{v:.6f}" for v in vec.values])
+        fh.writelines(lines)
     return len(vectors)
 
 
@@ -92,7 +104,12 @@ def write_vectors_json(pairs: Sequence[tuple[str | None, StyloVector]], sink: st
 
 
 def write_debug_csv(vector: StyloVector, doc: Document, sink: str | Path | IO[str]) -> int:
-    """One row per captured token, ordered by (metric, sentence, token)."""
+    """One row per captured token, ordered by (metric, sentence, token).
+
+    Each token's cells and each metric's ``doc_id,metric_id,`` prefix are
+    quoted once; all rows are built before the sink is opened, so a ref
+    outside the document raises and leaves no file behind.
+    """
     if vector.doc_id != doc.doc_id:
         raise OutputError(
             f"vector for {vector.doc_id!r} does not belong to document {doc.doc_id!r}"
@@ -101,23 +118,28 @@ def write_debug_csv(vector: StyloVector, doc: Document, sink: str | Path | IO[st
         raise OutputError(
             f"vector for {vector.doc_id!r} holds no captures: evaluate it with captures=True"
         )
-    rows = 0
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    refs = doc.refs()
+    writer.writerows([(si, ti, tok.form, tok.lemma, tok.upos, tok.deprel) for si, ti, tok in refs])
+    cells_of = dict(zip([(si, ti) for si, ti, _ in refs], lines))
+    lines.clear()
+    writer.writerow(DEBUG_COLUMNS)
+    for metric_id, captured in zip(vector.metric_ids, vector.captured):
+        if not captured:
+            continue
+        writer.writerow((doc.doc_id, metric_id, ""))
+        prefix = lines.pop()[:-1]
+        try:
+            lines.extend(map(prefix.__add__, map(cells_of.__getitem__, captured)))
+        except KeyError as exc:
+            raise OutputError(
+                f"internal error: metric {metric_id} captured "
+                f"{exc.args[0]} outside document {doc.doc_id!r}"
+            ) from None
     with _open_sink(sink) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DEBUG_COLUMNS)
-        for metric_id, captured in zip(vector.metric_ids, vector.captured):
-            for si, ti in captured:
-                if si >= len(doc.sentences) or ti >= len(doc.sentences[si].tokens):
-                    raise OutputError(
-                        f"internal error: metric {metric_id} captured "
-                        f"({si}, {ti}) outside document {doc.doc_id!r}"
-                    )
-                tok = doc.sentences[si].tokens[ti]
-                writer.writerow(
-                    (doc.doc_id, metric_id, si, ti, tok.form, tok.lemma, tok.upos, tok.deprel)
-                )
-                rows += 1
-    return rows
+        fh.writelines(lines)
+    return len(lines) - 1
 
 
 def debug_csv_string(vector: StyloVector, doc: Document) -> str:

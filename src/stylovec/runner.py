@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,6 +87,9 @@ def analyze_corpus(
     if jobs == 1 or len(items) <= 1:
         _collect(result, map(_process_file, items), strict, categories, metric_ids)
     else:
+        # imported here so that jobs=1 runs and the CLI's start-up skip loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(items) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = pool.map(_process_file, items, chunksize=chunk)
@@ -105,7 +107,9 @@ def _collect(result: RunResult, outcomes, strict: bool, categories, metric_ids) 
     for outcome in outcomes:
         if outcome[0] == "ok":
             _, lang, doc_id, values, raw_counts, flags = outcome
-            ids = ids_of.setdefault(lang, registry_for(lang, categories, metric_ids).ids())
+            ids = ids_of.get(lang)
+            if ids is None:
+                ids = ids_of[lang] = registry_for(lang, categories, metric_ids).ids()
             result.vectors.setdefault(lang, []).append(
                 StyloVector(doc_id, ids, values, raw_counts, flags))
             result.report.processed += 1

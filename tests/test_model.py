@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stylovec.model import Document, ModelError, MultiwordRange, Sentence, Token
@@ -69,6 +74,24 @@ class TestSentenceValidation:
     def test_non_root_needs_deprel(self):
         with pytest.raises(ModelError):
             sent(tok(0, "r"), tok(1, "a", head=0, deprel=""))
+
+    @pytest.mark.parametrize("ranges", [
+        [(2, 0)], [(1, 1)], [(0, 3)], [(-1, 1)], [(1, 2), (0, 1)], [(0, 1), (1, 2)],
+    ], ids=["backwards", "empty", "past-end", "negative", "before-previous", "overlapping"])
+    def test_bad_multiword_range_raises_instead_of_hanging(self, ranges):
+        # a subprocess with a timeout, so a constructor that loops fails the test
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from conftest import word_sentence; "
+                "from stylovec.model import ModelError, MultiwordRange, Sentence; "
+                "tokens = word_sentence('a', 'b', 'c').tokens; "
+                f"ranges = tuple(MultiwordRange(s, e, 'x') for s, e in {ranges!r})\n"
+                "try:\n    Sentence(tokens, ranges)\nexcept ModelError as exc:\n"
+                "    print(exc)\nelse:\n    print('accepted')")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                             capture_output=True, text=True, timeout=20, check=True).stdout
+        start, end = ranges[-1]
+        assert out.startswith(f"multiword range {start}-{end} is empty, out of order or outside")
 
 
 class TestSentenceQueries:

@@ -152,6 +152,19 @@ class TestDebugCsv:
         with pytest.raises(OutputError, match="internal error"):
             write_debug_csv(bad, document, io.StringIO())
 
+    @pytest.mark.parametrize("ref", [(-1, 0), (0, -1), (-2, -1), (2, 0), (0, 99)])
+    def test_ref_outside_document_rejected_and_no_file_left(self, tmp_path, ref):
+        document = read_document(CORPUS / "alpha_en.conllu")
+        assert len(document.sentences) == 2
+        good = ((0, 0), (1, 0))
+        bad = StyloVector(document.doc_id, ("A", "X"), (1.0, 1.0), (2.0, 1.0),
+                          captured=(good, (ref,)))
+        out = tmp_path / "alpha_en.debug.csv"
+        with pytest.raises(OutputError, match=rf"metric X captured \({ref[0]}, {ref[1]}\) "
+                                              r"outside document 'alpha_en'"):
+            write_debug_csv(bad, document, out)
+        assert not out.exists()
+
     def test_vector_without_captures_rejected(self, tmp_path):
         run = analyze_corpus(CORPUS)
         vector = run.vectors["en"][0]

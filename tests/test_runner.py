@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,32 @@ def test_vectors_of_one_language_share_one_ids_tuple():
     run = analyze_corpus(CORPUS, jobs=2)
     for vectors in run.vectors.values():
         assert len({id(v.metric_ids) for v in vectors}) == 1
+
+
+def test_collect_looks_up_ids_once_per_language(monkeypatch):
+    calls = []
+    real = runner.registry_for
+
+    def spy(language, *filters):
+        calls.append(language)
+        return real(language, *filters)
+
+    monkeypatch.setattr(runner, "registry_for", spy)
+    outcomes = []
+    for lang in ("en", "pl", "en", "pl", "en"):
+        n = len(real(lang).ids())
+        outcomes.append(("ok", lang, f"d{len(outcomes)}", (0.0,) * n, (0.0,) * n, ()))
+    result = runner.RunResult()
+    runner._collect(result, outcomes, False, None, None)
+    assert calls == ["en", "pl"]
+    assert result.report.processed == 5
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    code = ("import sys, stylovec.cli; "
+            "assert 'concurrent.futures.process' not in sys.modules, 'pool loaded'")
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def _walk(value):

@@ -67,10 +67,32 @@ def _resources() -> PackResources:
     ({"detector": "verb_group_tense"}, "missing parameter 'tense'"),
     ({"detector": "verb_group_voice"}, "missing parameter 'voice'"),
     ({"detector": "verb_group_modal"}, "missing parameter 'modal'"),
+    ({"family": "token_pattern", "test": "upos"}, "bad condition 'upos'"),
+    ({"family": "token_pattern", "test": "upos=VERB; colour=red"},
+     "unknown condition key 'colour'"),
+    ({"family": "sentence_pattern", "clause.1": "any"}, "clause 'any' lacks conditions"),
+    ({"family": "token_pattern", "test": "punct=maybe"}, "bad boolean 'maybe'"),
+    ({"family": "pos_incidence", "upos": "NUON"}, "unknown UPOS 'NUON'"),
+    ({"family": "token_pattern", "test": "upos=NOUN,NUON"}, "unknown UPOS ['NUON']"),
+    ({"family": "token_pattern", "test": "upos=VERB; child.upos=NUON"}, "unknown UPOS ['NUON']"),
+    ({"family": "top_frequency", "fraction": "1.5"}, "fraction 1.5 outside (0, 1]"),
+    ({"family": "top_frequency", "fraction": "0"}, "fraction 0.0 outside (0, 1]"),
+    ({"family": "phrase_distance", "upos": "DET"}, "unsupported phrase head 'DET'"),
+    ({"family": "word_length"}, "word_length needs min_syllables or min_chars"),
+    ({"family": "sentence_pattern"}, "sentence_pattern needs clause.N keys"),
+    ({"family": "feat_incidence", "test": "upos=NOUN"},
+     "feat_incidence needs at least one feat.* condition"),
+    ({"family": "norms", "dimension": "valence", "side": "above_mean",
+      "pack": PackResources("en")}, "pack declares no norms file"),
+    ({"family": "lexicon", "lexicon": "nope"}, "missing lexicon 'nope'"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
+    """Every error a manifest metric can raise, with its exact text; a
+    row's ``pack`` replaces the default resources."""
+    opts = {"category": "LEX", **params}
+    pack = opts.pop("pack", None) or _resources()
     with pytest.raises(PackError) as info:
-        packs._build_metric("X", {"category": "LEX", **params}, _resources(), ("LEX",))
+        packs._build_metric("X", opts, pack, ("LEX",))
     assert str(info.value) == message
 
 

@@ -15,12 +15,8 @@ from pathlib import Path
 from .conllu import ParseError
 from .model import LANGUAGES
 from .output import OutputError, write_vectors_csv, write_vectors_json
-from .packs import PackError, registry_for
+from .packs import PackError, registry_for, split_values
 from .runner import RunnerError, StrictAbort, analyze_corpus
-
-
-def _split_csv(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,9 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="language pack; omit only when every file carries a language comment")
     run.add_argument("--out", required=True, help="vectors output file")
     run.add_argument("--debug-out", help="directory for per-document debug capture CSVs")
-    run.add_argument("--categories", type=_split_csv, default=None,
+    run.add_argument("--categories", type=split_values, default=None,
                      help="comma-separated category filter")
-    run.add_argument("--metrics", type=_split_csv, default=None,
+    run.add_argument("--metrics", type=split_values, default=None,
                      help="comma-separated metric id filter")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -48,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list-metrics", help="print the metric catalogue for a language")
     ls.add_argument("--lang", required=True, choices=LANGUAGES)
-    ls.add_argument("--categories", type=_split_csv, default=None)
+    ls.add_argument("--categories", type=split_values, default=None)
     ls.add_argument("--format", choices=("text", "json"), default="text")
     ls.set_defaults(func=_cmd_list_metrics)
     return parser

@@ -54,15 +54,22 @@ class Lexicon:
         return index
 
 
-def _read_entries(path: Path) -> list[tuple[str, float | None]]:
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a pack data file; failing to read or decode it
+    is a :class:`LexiconError` naming the path."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise LexiconError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path}: not valid UTF-8: {exc}") from None
+    except OSError as exc:
+        raise LexiconError(f"{path}: cannot read: {exc}") from None
+
+
+def _read_entries(path: Path) -> list[tuple[str, float | None]]:
     out: list[tuple[str, float | None]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,13 +174,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
     """Parse a norms table; the header declares each dimension with its
     mean as ``name:mean``."""
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except FileNotFoundError:
-        raise LexiconError(f"{path}: no such file") from None
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not valid UTF-8: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise LexiconError(f"{path}: empty norms file")
     header = lines[0].split("\t")

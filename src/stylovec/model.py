@@ -175,9 +175,6 @@ class Sentence:
         """Direct dependents of ``token``, in linear order."""
         return [self.tokens[j] for j in self._children[self._own(token)]]
 
-    def child_indices(self, index: int) -> tuple[int, ...]:
-        return self._children[index]
-
     def subtree_indices(self, index: int) -> list[int]:
         """``index`` plus the indices of all transitive dependents, in linear order."""
         acc = [index]

@@ -28,9 +28,9 @@ from ..lexicons import (
     load_lexicon,
     load_norms,
     norms_incidence,
+    read_text,
     sentiment_incidence,
 )
-from ..model import LANGUAGES, UPOS_TAGS
 from .. import universal
 from . import eastslavic, english, polish
 
@@ -63,7 +63,8 @@ class PackResources:
 # condition mini-language
 
 
-def _split_values(value: str) -> tuple[str, ...]:
+def split_values(value: str) -> tuple[str, ...]:
+    """The non-empty, stripped items of a comma-separated list."""
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
@@ -90,27 +91,24 @@ def _parse_test(spec: str) -> universal.TokenTest:
         if prefix in nested and dot and prefix != "feat":
             nested[prefix].append(f"{rest}={value}")
         elif key == "upos":
-            upos = frozenset(_split_values(value))
-            bad = upos - UPOS_TAGS
-            if bad:
-                raise PackError(f"unknown UPOS {sorted(bad)}")
-            kwargs["upos"] = upos
+            kwargs["upos"] = frozenset(split_values(value))
         elif key == "deprel":
-            kwargs["deprel"] = frozenset(_split_values(value))
+            kwargs["deprel"] = frozenset(split_values(value))
         elif key == "deprel_base":
-            kwargs["deprel_base"] = frozenset(_split_values(value))
+            kwargs["deprel_base"] = frozenset(split_values(value))
         elif key == "lemma":
-            kwargs["lemma_in"] = frozenset(v.casefold() for v in _split_values(value))
+            kwargs["lemma_in"] = frozenset(v.casefold() for v in split_values(value))
         elif key == "form":
-            kwargs["form_in"] = frozenset(v.casefold() for v in _split_values(value))
-        elif key == "form_re":
-            kwargs["form_re"] = re.compile(value)
-        elif key == "form_not_re":
-            kwargs["form_not_re"] = re.compile(value)
+            kwargs["form_in"] = frozenset(v.casefold() for v in split_values(value))
+        elif key in ("form_re", "form_not_re"):
+            try:
+                kwargs[key] = re.compile(value)
+            except re.error as exc:
+                raise PackError(f"bad regular expression {value!r}: {exc}") from None
         elif key.startswith("feat."):
             feats.append((key[5:], value))
         elif key == "nofeat":
-            kwargs["feats_absent"] = _split_values(value)
+            kwargs["feats_absent"] = split_values(value)
         elif key == "entity":
             kwargs["entity"] = value
         elif key == "punct":
@@ -157,10 +155,7 @@ class _Params(dict):
 
 
 def _fam_pos(params, pack):
-    upos = params["upos"]
-    if upos not in UPOS_TAGS:
-        raise PackError(f"unknown UPOS {upos!r}")
-    return universal.pos_incidence(upos)
+    return universal.pos_incidence(params["upos"])
 
 
 def _fam_feat(params, pack):
@@ -175,12 +170,8 @@ def _fam_token_pattern(params, pack):
 
 
 def _fam_sentence_pattern(params, pack):
-    clauses = []
-    for key in sorted(k for k in params if k.startswith("clause.")):
-        clauses.append(_parse_clause(params[key]))
-    if not clauses:
-        raise PackError("sentence_pattern needs clause.N keys")
-    return universal.sentence_pattern(tuple(clauses))
+    keys = sorted(k for k in params if k.startswith("clause."))
+    return universal.sentence_pattern(tuple(_parse_clause(params[k]) for k in keys))
 
 
 def _fam_ttr(params, pack):
@@ -188,17 +179,12 @@ def _fam_ttr(params, pack):
 
 
 def _fam_top_frequency(params, pack):
-    fraction = float(params["fraction"])
-    if not 0 < fraction <= 1:
-        raise PackError(f"fraction {fraction} outside (0, 1]")
-    return universal.top_frequency_incidence(fraction, params.get("layer", "form"))
+    return universal.top_frequency_incidence(float(params["fraction"]), params.get("layer", "form"))
 
 
 def _fam_word_length(params, pack):
     min_syllables = params.get("min_syllables")
     min_chars = params.get("min_chars")
-    if min_syllables is None and min_chars is None:
-        raise PackError("word_length needs min_syllables or min_chars")
     return universal.word_length_incidence(
         min_syllables=int(min_syllables) if min_syllables else None,
         min_chars=int(min_chars) if min_chars else None,
@@ -229,10 +215,7 @@ def _fam_norms(params, pack):
 
 
 def _fam_phrase_distance(params, pack):
-    upos = params["upos"]
-    if upos not in ("NOUN", "VERB", "ADP", "ADJ", "ADV"):
-        raise PackError(f"unsupported phrase head {upos!r}")
-    return universal.phrase_distance(upos)
+    return universal.phrase_distance(params["upos"])
 
 
 def _fam_repetition(params, pack):
@@ -263,27 +246,15 @@ _META_KEYS = frozenset({"category", "family", "detector", "name_en",
                         "description", "language", "local", "scale_invariant"})
 
 
-def _load_emoticons(path: Path) -> frozenset[str]:
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except FileNotFoundError:
-        raise PackError(f"{path}: no such file") from None
-    except UnicodeDecodeError as exc:
-        raise PackError(f"{path}: not valid UTF-8: {exc}") from None
-    entries = [ln.strip() for ln in text.splitlines()]
-    return frozenset(e for e in entries if e and not e.startswith("#"))
-
-
 def _read_manifest(language: str) -> configparser.ConfigParser:
     path = DATA_DIR / PACK_FILES[language]
     cfg = configparser.ConfigParser(interpolation=None, strict=True,
                                     delimiters=("=",), comment_prefixes=("#",))
     cfg.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg.read_file(fh)
-    except FileNotFoundError:
-        raise PackError(f"{path}: no such manifest") from None
+        cfg.read_string(read_text(path), source=str(path))
+    except LexiconError as exc:
+        raise PackError(str(exc)) from None
     except configparser.Error as exc:
         raise PackError(f"{path}: {exc}") from None
     return cfg
@@ -300,18 +271,19 @@ def load_pack(language: str) -> Registry:
     head = cfg["pack"]
     if head.get("language") != language:
         raise PackError(f"{language}: manifest declares language {head.get('language')!r}")
-    categories = _split_values(head.get("categories", ""))
+    categories = split_values(head.get("categories", ""))
     if not categories:
         raise PackError(f"{language}: manifest declares no categories")
 
     pack = PackResources(language=language)
-    if head.get("emoticons"):
-        pack.emoticons = _load_emoticons(DATA_DIR / head["emoticons"])
-    if head.get("norms"):
-        try:
+    try:
+        if head.get("emoticons"):
+            entries = (ln.strip() for ln in read_text(DATA_DIR / head["emoticons"]).splitlines())
+            pack.emoticons = frozenset(e for e in entries if e and not e.startswith("#"))
+        if head.get("norms"):
             pack.norms = load_norms(DATA_DIR / head["norms"])
-        except LexiconError as exc:
-            raise PackError(str(exc)) from None
+    except LexiconError as exc:
+        raise PackError(str(exc)) from None
 
     metric_sections: list[tuple[str, dict[str, str]]] = []
     for section in cfg.sections():

@@ -5,7 +5,9 @@ it takes a :class:`DocContext` and returns ``(captured_refs, raw)`` where
 ``raw=None`` means "count the captured tokens". Families cover POS and
 feature incidences, declarative token/sentence patterns, lexical
 diversity, word length, graphical tokens, repetition, and phrase
-distance. Language packs instantiate these with concrete parameters.
+distance. Language packs instantiate these with concrete parameters;
+each factory checks its own parameters and raises ``ValueError`` for a
+bad one, so manifests and library calls meet the same errors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .engine import DocContext, TokenRef
-from .model import CONTENT_UPOS, FUNCTION_UPOS, Sentence, Token
+from .model import CONTENT_UPOS, FUNCTION_UPOS, UPOS_TAGS, Sentence, Token
 
 # ---------------------------------------------------------------------------
 # syllables
@@ -82,6 +84,10 @@ class TokenTest:
     child: "TokenTest | None" = None
     no_child: "TokenTest | None" = None
     head: "TokenTest | None" = None
+
+    def __post_init__(self) -> None:
+        if self.upos is not None and self.upos - UPOS_TAGS:
+            raise ValueError(f"unknown UPOS {sorted(self.upos - UPOS_TAGS)}")
 
     def matches(self, tok: Token, sent: Sentence) -> bool:
         if self.upos is not None and tok.upos not in self.upos:
@@ -201,10 +207,14 @@ def token_pattern(test: TokenTest):
 
 def sentence_pattern(clauses: tuple[SentenceClause, ...]):
     """Capture all tokens of every sentence where every clause holds."""
+    if not clauses:
+        raise ValueError("sentence_pattern needs clause.N keys")
     return sentence_incidence(lambda sent: all(cl.holds(sent) for cl in clauses))
 
 
 def pos_incidence(upos: str):
+    if upos not in UPOS_TAGS:
+        raise ValueError(f"unknown UPOS {upos!r}")
     def rule(ctx: DocContext):
         return list(ctx.upos_index.get(upos, ())), None
     return rule
@@ -244,6 +254,8 @@ def type_token_ratio(layer: str = "form"):
 def top_frequency_incidence(fraction: float, layer: str = "form"):
     """Tokens belonging to the top ``ceil(fraction * type_count)`` most
     frequent types; ties break by frequency then alphabetically."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction {fraction} outside (0, 1]")
     _check_layer(layer)
     def rule(ctx: DocContext):
         table = _types(ctx, layer)
@@ -258,6 +270,8 @@ def top_frequency_incidence(fraction: float, layer: str = "form"):
 def word_length_incidence(min_syllables: int | None = None,
                           min_chars: int | None = None,
                           language: str = "en"):
+    if min_syllables is None and min_chars is None:
+        raise ValueError("word_length needs min_syllables or min_chars")
     def long_enough(tok: Token, sent: Sentence) -> bool:
         if tok.is_punct:
             return False
@@ -367,6 +381,8 @@ def phrase_distance(upos: str):
     """Mean token gap between consecutive phrase heads of one UPOS,
     where a phrase head is a token of that UPOS whose own head is not.
     Raw value is the mean gap (0 with fewer than two heads)."""
+    if upos not in ("NOUN", "VERB", "ADP", "ADJ", "ADV"):
+        raise ValueError(f"unsupported phrase head {upos!r}")
     def rule(ctx: DocContext):
         positions = []
         refs = []

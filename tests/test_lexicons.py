@@ -68,6 +68,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="no such file"):
             load_lexicon(tmp_path / "nope.txt", mode="lemma_exact")
 
+    def test_directory_is_error(self, tmp_path):
+        with pytest.raises(LexiconError, match="cannot read"):
+            load_lexicon(tmp_path, mode="lemma_exact")
+        with pytest.raises(LexiconError, match="cannot read"):
+            load_norms(tmp_path)
+
     def test_unknown_mode_is_error(self, tmp_path):
         p = self.put(tmp_path, "word\n")
         with pytest.raises(LexiconError, match="mode"):

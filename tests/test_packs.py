@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stylovec import packs
+from stylovec import packs, universal
 from stylovec.conllu import parse_conllu
 from stylovec.engine import evaluate_all
 from stylovec.lexicons import AffectiveNorms, Lexicon
@@ -85,6 +85,10 @@ def _resources() -> PackResources:
     ({"family": "norms", "dimension": "valence", "side": "above_mean",
       "pack": PackResources("en")}, "pack declares no norms file"),
     ({"family": "lexicon", "lexicon": "nope"}, "missing lexicon 'nope'"),
+    ({"family": "token_pattern", "test": "form_re=("},
+     "bad regular expression '(': missing ), unterminated subpattern at position 0"),
+    ({"family": "token_pattern", "test": "upos=NOUN; form_not_re=a**"},
+     "bad regular expression 'a**': multiple repeat at position 2"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
     """Every error a manifest metric can raise, with its exact text; a
@@ -94,6 +98,64 @@ def test_build_error_message_names_the_bad_value(params, message):
     with pytest.raises(PackError) as info:
         packs._build_metric("X", opts, pack, ("LEX",))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: universal.pos_incidence("NUON"), "unknown UPOS 'NUON'"),
+    (lambda: universal.TokenTest(upos=frozenset({"NUON"})), "unknown UPOS ['NUON']"),
+    (lambda: universal.phrase_distance("DET"), "unsupported phrase head 'DET'"),
+    (lambda: universal.top_frequency_incidence(1.5), "fraction 1.5 outside (0, 1]"),
+    (lambda: universal.top_frequency_incidence(0.0), "fraction 0.0 outside (0, 1]"),
+    (lambda: universal.word_length_incidence(), "word_length needs min_syllables or min_chars"),
+    (lambda: universal.sentence_pattern(()), "sentence_pattern needs clause.N keys"),
+])
+def test_library_call_raises_the_manifest_message(call, message):
+    """A factory checks its own parameters, so a library call fails as
+    the manifest row above does."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+class TestPackFiles:
+    """An unreadable pack data file is a PackError naming the file."""
+
+    HEAD = b"[pack]\nlanguage = en\ncategories = LEX\n"
+
+    def message(self, monkeypatch, tmp_path, manifest: bytes | None) -> str:
+        if manifest is not None:
+            (tmp_path / "en.cfg").write_bytes(manifest)
+        monkeypatch.setattr(packs, "DATA_DIR", tmp_path)
+        with pytest.raises(PackError) as info:
+            packs.load_pack("en")
+        return str(info.value)
+
+    def test_missing_manifest(self, monkeypatch, tmp_path):
+        assert self.message(monkeypatch, tmp_path, None) == f"{tmp_path / 'en.cfg'}: no such file"
+
+    def test_manifest_not_utf8(self, monkeypatch, tmp_path):
+        text = self.message(monkeypatch, tmp_path, self.HEAD + b"# caf\xe9\n")
+        assert text.startswith(f"{tmp_path / 'en.cfg'}: not valid UTF-8: ")
+
+    def test_manifest_is_a_directory(self, monkeypatch, tmp_path):
+        (tmp_path / "en.cfg").mkdir()
+        assert self.message(monkeypatch, tmp_path, None).startswith(
+            f"{tmp_path / 'en.cfg'}: cannot read: ")
+
+    def test_manifest_syntax_error_names_the_file(self, monkeypatch, tmp_path):
+        text = self.message(monkeypatch, tmp_path, b"[pack]\n[pack]\n")
+        assert text.startswith(f"{tmp_path / 'en.cfg'}: ")
+        assert "already exists" in text
+
+    def test_missing_emoticon_list(self, monkeypatch, tmp_path):
+        text = self.message(monkeypatch, tmp_path, self.HEAD + b"emoticons = emo.txt\n")
+        assert text == f"{tmp_path / 'emo.txt'}: no such file"
+
+    def test_lexicon_is_a_directory(self, monkeypatch, tmp_path):
+        (tmp_path / "words").mkdir()
+        text = self.message(monkeypatch, tmp_path,
+                            self.HEAD + b"[lexicon words]\nfile = words\nmode = lemma_exact\n")
+        assert text.startswith(f"lexicon words: {tmp_path / 'words'}: cannot read: ")
 
 
 def test_every_family_and_detector_is_used_by_a_stock_manifest():

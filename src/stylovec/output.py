@@ -8,7 +8,6 @@ pair so every count can be traced back to surface evidence.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -140,12 +139,6 @@ def write_debug_csv(vector: StyloVector, doc: Document, sink: str | Path | IO[st
     with _open_sink(sink) as fh:
         fh.writelines(lines)
     return len(lines) - 1
-
-
-def debug_csv_string(vector: StyloVector, doc: Document) -> str:
-    buf = io.StringIO()
-    write_debug_csv(vector, doc, buf)
-    return buf.getvalue()
 
 
 @dataclass

@@ -4,9 +4,10 @@ A pack is an INI manifest under ``packs/data`` declaring lexicons and
 metrics. Each metric instantiates either a universal family (POS and
 feature incidences, patterns, lexical statistics, lexicon matchers) or
 a named language detector. Token tests inside manifests use a compact
-condition syntax::
+condition syntax over the keys ``upos``, ``deprel``, ``deprel_base``,
+``form``, ``form_re``, ``form_not_re`` and ``feat.*``::
 
-    upos=VERB,AUX; deprel=root,ccomp,cop; feat.Tense=Past; head.upos=NOUN
+    upos=VERB,AUX; deprel=root,ccomp,cop; feat.Tense=Past
 
 and sentence patterns add a leading quantifier (any/all/none/first/last)
 per ``clause.N`` key.
@@ -71,7 +72,6 @@ def split_values(value: str) -> tuple[str, ...]:
 def _parse_test(spec: str) -> universal.TokenTest:
     kwargs: dict = {}
     feats: list[tuple[str, str]] = []
-    nested: dict[str, list[str]] = {"child": [], "nochild": [], "head": []}
     seen: set[str] = set()
     for part in spec.split(";"):
         part = part.strip()
@@ -84,20 +84,11 @@ def _parse_test(spec: str) -> universal.TokenTest:
             raise PackError(f"bad condition {part!r}")
         # a repeated feat.* key is a conjunction; any other repeat would
         # silently keep only its last value
-        if key in seen and "feat" not in key.split(".")[:-1]:
+        if key in seen and not key.startswith("feat."):
             raise PackError(f"repeated condition key {key!r}")
         seen.add(key)
-        prefix, dot, rest = key.partition(".")
-        if prefix in nested and dot and prefix != "feat":
-            nested[prefix].append(f"{rest}={value}")
-        elif key == "upos":
-            kwargs["upos"] = frozenset(split_values(value))
-        elif key == "deprel":
-            kwargs["deprel"] = frozenset(split_values(value))
-        elif key == "deprel_base":
-            kwargs["deprel_base"] = frozenset(split_values(value))
-        elif key == "lemma":
-            kwargs["lemma_in"] = frozenset(v.casefold() for v in split_values(value))
+        if key in ("upos", "deprel", "deprel_base"):
+            kwargs[key] = frozenset(split_values(value))
         elif key == "form":
             kwargs["form_in"] = frozenset(v.casefold() for v in split_values(value))
         elif key in ("form_re", "form_not_re"):
@@ -107,22 +98,10 @@ def _parse_test(spec: str) -> universal.TokenTest:
                 raise PackError(f"bad regular expression {value!r}: {exc}") from None
         elif key.startswith("feat."):
             feats.append((key[5:], value))
-        elif key == "nofeat":
-            kwargs["feats_absent"] = split_values(value)
-        elif key == "entity":
-            kwargs["entity"] = value
-        elif key == "punct":
-            kwargs["is_punct"] = _parse_bool(value)
-        elif key == "xpos":
-            kwargs["xpos_prefix"] = value
         else:
             raise PackError(f"unknown condition key {key!r}")
     if feats:
         kwargs["feats"] = tuple(feats)
-    for prefix, parts in nested.items():
-        if parts:
-            attr = {"nochild": "no_child"}.get(prefix, prefix)
-            kwargs[attr] = _parse_test("; ".join(parts))
     return universal.TokenTest(**kwargs)
 
 
@@ -134,20 +113,22 @@ def _parse_clause(spec: str) -> universal.SentenceClause:
     return universal.SentenceClause(quantifier=quantifier, test=_parse_test(rest))
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.strip().casefold()
-    if low in ("yes", "true", "1"):
-        return True
-    if low in ("no", "false", "0"):
-        return False
-    raise PackError(f"bad boolean {value!r}")
-
-
 class _Params(dict):
     """A metric's manifest parameters; a missing one is a PackError."""
 
     def __missing__(self, key: str):
         raise PackError(f"missing parameter {key!r}")
+
+    def number(self, key: str, convert=int, optional: bool = False):
+        """The parameter passed through ``convert``; an optional one that
+        is absent or empty is None."""
+        value = self.get(key) if optional else self[key]
+        if optional and not value:
+            return None
+        try:
+            return convert(value)
+        except ValueError:
+            raise PackError(f"parameter {key!r}: not a number {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +160,14 @@ def _fam_ttr(params, pack):
 
 
 def _fam_top_frequency(params, pack):
-    return universal.top_frequency_incidence(float(params["fraction"]), params.get("layer", "form"))
+    return universal.top_frequency_incidence(params.number("fraction", float),
+                                             params.get("layer", "form"))
 
 
 def _fam_word_length(params, pack):
-    min_syllables = params.get("min_syllables")
-    min_chars = params.get("min_chars")
     return universal.word_length_incidence(
-        min_syllables=int(min_syllables) if min_syllables else None,
-        min_chars=int(min_chars) if min_chars else None,
+        min_syllables=params.number("min_syllables", optional=True),
+        min_chars=params.number("min_chars", optional=True),
         language=pack.language,
     )
 
@@ -242,8 +222,7 @@ FAMILIES = {
 
 DETECTORS = {**english.DETECTORS, **polish.DETECTORS, **eastslavic.DETECTORS}
 
-_META_KEYS = frozenset({"category", "family", "detector", "name_en",
-                        "description", "language", "local", "scale_invariant"})
+_META_KEYS = frozenset({"category", "family", "detector", "name_en", "description", "language"})
 
 
 def _read_manifest(language: str) -> configparser.ConfigParser:
@@ -344,10 +323,6 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
         rule = builder(params, pack)
     except (ValueError, KeyError) as exc:
         raise PackError(str(exc)) from None
-    if "local" in opts:
-        local = _parse_bool(opts["local"])
-    if "scale_invariant" in opts:
-        scale_invariant = _parse_bool(opts["scale_invariant"])
     descriptor = MetricDescriptor(
         id=mid,
         category=category,

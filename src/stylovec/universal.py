@@ -272,6 +272,9 @@ def word_length_incidence(min_syllables: int | None = None,
                           language: str = "en"):
     if min_syllables is None and min_chars is None:
         raise ValueError("word_length needs min_syllables or min_chars")
+    for name, bound in (("min_syllables", min_syllables), ("min_chars", min_chars)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} {bound} below 1")
     def long_enough(tok: Token, sent: Sentence) -> bool:
         if tok.is_punct:
             return False

@@ -16,7 +16,6 @@ from stylovec.output import (
     DEBUG_COLUMNS,
     OutputError,
     RunReport,
-    debug_csv_string,
     vectors_to_json,
     write_debug_csv,
     write_vectors_csv,
@@ -105,6 +104,13 @@ class TestVectorJson:
         assert out.read_text(encoding="utf-8").endswith("\n")
 
 
+def debug_rows(vector, document) -> list[list[str]]:
+    buf = io.StringIO()
+    write_debug_csv(vector, document, buf)
+    buf.seek(0)
+    return list(csv.reader(buf))
+
+
 class TestDebugCsv:
     def results_on_fixture(self):
         document = load_fixture("pl_neg/neg01.conllu")
@@ -113,15 +119,14 @@ class TestDebugCsv:
 
     def test_one_row_per_captured_token(self):
         document, vector = self.results_on_fixture()
-        text = debug_csv_string(vector, document)
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = debug_rows(vector, document)
         assert tuple(rows[0]) == DEBUG_COLUMNS
         expected = sum(len(r.captured) for r in vector.results)
         assert len(rows) - 1 == expected
 
     def test_rows_ordered_and_traceable(self):
         document, vector = self.results_on_fixture()
-        rows = list(csv.reader(io.StringIO(debug_csv_string(vector, document))))[1:]
+        rows = debug_rows(vector, document)[1:]
         metric_order = {mid: i for i, mid in enumerate(vector.metric_ids)}
         keys = [(metric_order[r[1]], int(r[2]), int(r[3])) for r in rows]
         assert keys == sorted(keys)
@@ -136,7 +141,7 @@ class TestDebugCsv:
 
     def test_negation_rows_name_the_evidence(self):
         document, vector = self.results_on_fixture()
-        rows = list(csv.reader(io.StringIO(debug_csv_string(vector, document))))[1:]
+        rows = debug_rows(vector, document)[1:]
         neg_rows = [r for r in rows if r[1] == "SY_S_NEG"]
         assert [r[4] for r in neg_rows] == ["Nie", "lubię", "tego", "."]
 

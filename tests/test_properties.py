@@ -256,15 +256,19 @@ def indexed_metric_ids(language: str) -> list[str]:
                  or cfg[f"lexicon {cfg[section]['lexicon']}"]["mode"] == "prefix")]
 
 
-# Nested tests (no stock metric has one), with and without a top-level upos.
-NESTED_TESTS = [packs._parse_test(spec) for spec in (
-    "upos=VERB,AUX; child.deprel=nsubj,obj",
-    "upos=NOUN,PROPN,PRON; nochild.upos=DET",
-    "upos=ADJ,ADV; head.upos=NOUN,VERB",
-    "child.upos=PUNCT; nochild.deprel=cc",
-    "head.upos=VERB,NOUN; head.feat.Number=Sing",
-    "upos=VERB; child.upos=NOUN,PRON; child.nochild.upos=ADP; head.upos=VERB",
-)]
+# Nested tests (no stock metric has one, and manifests cannot declare
+# one), with and without a top-level upos.
+_Test = universal.TokenTest
+NESTED_TESTS = [
+    _Test(upos=frozenset({"VERB", "AUX"}), child=_Test(deprel=frozenset({"nsubj", "obj"}))),
+    _Test(upos=frozenset({"NOUN", "PROPN", "PRON"}), no_child=_Test(upos=frozenset({"DET"}))),
+    _Test(upos=frozenset({"ADJ", "ADV"}), head=_Test(upos=frozenset({"NOUN", "VERB"}))),
+    _Test(child=_Test(upos=frozenset({"PUNCT"})), no_child=_Test(deprel=frozenset({"cc"}))),
+    _Test(head=_Test(upos=frozenset({"VERB", "NOUN"}), feats=(("Number", "Sing"),))),
+    _Test(upos=frozenset({"VERB"}),
+          child=_Test(upos=frozenset({"NOUN", "PRON"}), no_child=_Test(upos=frozenset({"ADP"}))),
+          head=_Test(upos=frozenset({"VERB"}))),
+]
 
 
 def assert_indexed_families_match_scans(doc):

@@ -25,6 +25,7 @@ from .model import (
 
 _COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS", "HEAD", "DEPREL", "DEPS", "MISC")
 _RANGE_ID = re.compile(r"([1-9][0-9]*)-([1-9][0-9]*)")
+_CORPUS_PATTERN = "*.conllu"
 
 log = logging.getLogger("stylovec")
 
@@ -217,17 +218,17 @@ def to_conllu(doc: Document) -> str:
     return "\n".join(out) + "\n"
 
 
-def list_corpus_files(path: str | Path, pattern: str = "*.conllu") -> list[Path]:
-    """Corpus file discovery: directory glob sorted by name bytes, or the one file.
+def list_corpus_files(path: str | Path) -> list[Path]:
+    """Corpus file discovery: ``*.conllu`` glob sorted by name bytes, or the one file.
 
     Zero matches in a directory is an error; downstream row order relies
     on the byte-order sort being stable across platforms.
     """
     root = Path(path)
     if root.is_dir():
-        files = sorted(root.glob(pattern), key=lambda p: p.name.encode("utf-8"))
+        files = sorted(root.glob(_CORPUS_PATTERN), key=lambda p: p.name.encode("utf-8"))
         if not files:
-            raise ParseError(f"empty corpus: no files matching {pattern!r} under {root}")
+            raise ParseError(f"empty corpus: no files matching {_CORPUS_PATTERN!r} under {root}")
         return files
     return [root]
 

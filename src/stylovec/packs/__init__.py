@@ -102,6 +102,8 @@ def _parse_test(spec: str) -> universal.TokenTest:
             raise PackError(f"unknown condition key {key!r}")
     if feats:
         kwargs["feats"] = tuple(feats)
+    if not kwargs:
+        raise PackError(f"no conditions in {spec!r}")
     return universal.TokenTest(**kwargs)
 
 

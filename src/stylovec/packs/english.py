@@ -26,6 +26,9 @@ _COPULAR_UPOS = frozenset({"ADJ", "NOUN", "PROPN", "PRON", "ADV", "NUM", "DET", 
 TENSES = ("present", "past", "future")
 ASPECTS = ("simple", "continuous", "perfect", "perfect_continuous")
 VOICES = ("active", "passive")
+# the parameters a verb_group metric may take, and the sets it accepts
+_VALUES = {"tense": TENSES, "aspect": ASPECTS, "voice": VOICES, "modal": MODALS}
+_SHAPES = (("tense", "aspect", "voice"), ("tense",), ("voice",), ("modal",))
 
 
 @dataclass(frozen=True)
@@ -125,45 +128,39 @@ def doc_verb_groups(ctx: DocContext) -> list[list[VerbGroup]]:
                     lambda: [extract_verb_groups(s) for s in ctx.doc.sentences])
 
 
-def _groups_where(pred):
-    """Rule capturing the tokens of every verb group ``g`` for which
-    ``pred(g, sentence)`` holds."""
-    def rule(ctx: DocContext):
-        sents = ctx.doc.sentences
-        return [(si, t.index) for si, groups in enumerate(doc_verb_groups(ctx))
-                for g in groups if pred(g, sents[si]) for t in g.tokens], None
-    return rule
+def verb_group_table(ctx: DocContext) -> dict:
+    """Verb-group token refs under ``(tense,)``, ``(voice,)``, ``(modal,)`` and
+    ``(tense, aspect, voice)`` for each classified group (tense set), and under
+    ``"do_support"`` for each group with emphatic do."""
+    def build():
+        table: dict = {}
+        for si, (sent, groups) in enumerate(zip(ctx.doc.sentences, doc_verb_groups(ctx))):
+            for g in groups:
+                keys = ["do_support"] if do_support(g, sent) else []
+                if g.tense:
+                    keys += [(g.tense,), (g.voice,), (g.modal,), (g.tense, g.aspect, g.voice)]
+                refs = [(si, t.index) for t in g.tokens]
+                for key in keys:
+                    table.setdefault(key, []).extend(refs)
+        return table
+    return ctx.memo("en.verb_group_table", build)
 
 
-def verb_group_cell(params, pack):
-    tense, aspect, voice = params["tense"], params["aspect"], params["voice"]
-    if tense not in TENSES or aspect not in ASPECTS or voice not in VOICES:
-        raise ValueError(f"bad verb-group cell {tense}/{aspect}/{voice}")
-    return _groups_where(
-        lambda g, sent: g.tense == tense and g.aspect == aspect and g.voice == voice)
+def _table_rule(key):
+    return lambda ctx: (verb_group_table(ctx).get(key, ()), None)
 
 
-def verb_group_tense(params, pack):
-    tense = params["tense"]
-    if tense not in TENSES:
-        raise ValueError(f"unknown tense {tense!r}")
-    return _groups_where(lambda g, sent: g.tense == tense)
-
-
-def verb_group_voice(params, pack):
-    voice = params["voice"]
-    if voice not in VOICES:
-        raise ValueError(f"unknown voice {voice!r}")
-    # restricted to classified groups so the general voice metric stays
-    # the exact union of the detailed cells
-    return _groups_where(lambda g, sent: g.tense is not None and g.voice == voice)
-
-
-def verb_group_modal(params, pack):
-    modal = params["modal"].casefold()
-    if modal not in MODALS:
-        raise ValueError(f"unknown modal {modal!r}")
-    return _groups_where(lambda g, sent: g.modal == modal)
+def verb_group(params, pack):
+    """Rule capturing the classified verb groups of one tense/aspect/voice
+    cell, or of one tense, voice or modal."""
+    names = tuple(k for k in _VALUES if k in params)
+    if names not in _SHAPES or len(names) != len(params):
+        raise ValueError("verb_group takes tense, aspect and voice, or one of tense, "
+                         f"voice, modal; got {sorted(params)}")
+    for name in names:
+        if params[name] not in _VALUES[name]:
+            raise ValueError(f"unknown {name} {params[name]!r}")
+    return _table_rule(tuple(params[name] for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +273,10 @@ def inversion(sent: Sentence) -> tuple[int, ...]:
 
 
 DETECTORS = {
-    "verb_group_cell": verb_group_cell,
-    "verb_group_tense": verb_group_tense,
-    "verb_group_voice": verb_group_voice,
-    "verb_group_modal": verb_group_modal,
+    "verb_group": verb_group,
     "fronting": lambda params, pack: sentence_refs(fronting),
     "irritation": lambda params, pack: irritation,
     "simile_en": lambda params, pack: sentence_refs(simile),
-    "do_support": lambda params, pack: _groups_where(do_support),
+    "do_support": lambda params, pack: _table_rule("do_support"),
     "inversion": lambda params, pack: sentence_refs(inversion),
 }

@@ -39,7 +39,7 @@ def syllable_count(word: str, language: str = "en") -> int:
     (digits, punctuation) count 0.
     """
     w = word.casefold()
-    vowels = _VOWELS.get(language, _VOWELS["en"])
+    vowels = _VOWELS[language]
     runs = 0
     prev = False
     last_run_len = 0
@@ -275,6 +275,8 @@ def word_length_incidence(min_syllables: int | None = None,
     for name, bound in (("min_syllables", min_syllables), ("min_chars", min_chars)):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} {bound} below 1")
+    if language not in _VOWELS:
+        raise ValueError(f"unknown language {language!r}")
     def long_enough(tok: Token, sent: Sentence) -> bool:
         if tok.is_punct:
             return False

@@ -49,6 +49,9 @@ def _resources() -> PackResources:
     return PackResources("en", lexicons={"sent": sentiment}, norms=norms)
 
 
+VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, modal; got "
+
+
 @pytest.mark.parametrize("params,message", [
     ({"family": "graphical", "kind": "smiley"}, "unknown graphical kind 'smiley'"),
     ({"family": "content_function", "kind": "lexical"}, "unknown split kind 'lexical'"),
@@ -58,13 +61,13 @@ def _resources() -> PackResources:
      "unknown side 'at_mean'"),
     ({"family": "sentence_pattern", "clause.1": "most; upos=NOUN"},
      "unknown quantifier 'most'"),
-    ({"detector": "verb_group_tense", "tense": "pluperfect"}, "unknown tense 'pluperfect'"),
+    ({"detector": "verb_group", "tense": "pluperfect"}, "unknown tense 'pluperfect'"),
     ({"family": "graphical"}, "missing parameter 'kind'"),
-    ({"detector": "verb_group_cell", "tense": "past", "voice": "active"},
-     "missing parameter 'aspect'"),
-    ({"detector": "verb_group_tense"}, "missing parameter 'tense'"),
-    ({"detector": "verb_group_voice"}, "missing parameter 'voice'"),
-    ({"detector": "verb_group_modal"}, "missing parameter 'modal'"),
+    ({"detector": "verb_group", "tense": "past", "voice": "active"},
+     VG_SHAPE + "['tense', 'voice']"),
+    ({"detector": "verb_group"}, VG_SHAPE + "[]"),
+    ({"detector": "verb_group", "voice": "middle"}, "unknown voice 'middle'"),
+    ({"detector": "verb_group", "modal": "Can"}, "unknown modal 'Can'"),
     ({"family": "token_pattern", "test": "upos"}, "bad condition 'upos'"),
     ({"family": "token_pattern", "test": "upos=VERB; colour=red"},
      "unknown condition key 'colour'"),
@@ -90,6 +93,17 @@ def _resources() -> PackResources:
      "bad regular expression 'a**': multiple repeat at position 2"),
     ({"family": "top_frequency", "fraction": "abc"}, "parameter 'fraction': not a number 'abc'"),
     ({"family": "word_length", "min_chars": "-3"}, "min_chars -3 below 1"),
+    ({"family": "token_pattern", "test": ""}, "no conditions in ''"),
+    ({"family": "token_pattern", "test": ";"}, "no conditions in ';'"),
+    ({"family": "sentence_pattern", "clause.1": "any;"}, "no conditions in ''"),
+    ({"detector": "verb_group", "tense": "past", "aspect": "habitual", "voice": "active"},
+     "unknown aspect 'habitual'"),
+    ({"detector": "verb_group", "tense": "past", "modal": "can"},
+     VG_SHAPE + "['modal', 'tense']"),
+    ({"detector": "verb_group", "tense": "past", "mood": "indicative"},
+     VG_SHAPE + "['mood', 'tense']"),
+    ({"detector": "verb_group_cell", "tense": "past", "aspect": "simple", "voice": "active"},
+     "unknown detector 'verb_group_cell'"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
     """Every error a manifest metric can raise, with its exact text; a
@@ -112,6 +126,8 @@ def test_build_error_message_names_the_bad_value(params, message):
     pytest.param(lambda: universal.TokenTest(child=universal.TokenTest(upos={"NUON"})),
                  "unknown UPOS ['NUON']", id="<lambda>-nested unknown UPOS ['NUON']"),
     (lambda: universal.word_length_incidence(min_syllables=0), "min_syllables 0 below 1"),
+    (lambda: universal.word_length_incidence(min_syllables=3, language="de"),
+     "unknown language 'de'"),
 ])
 def test_library_call_raises_the_manifest_message(call, message):
     """A factory checks its own parameters, so a library call fails as
@@ -119,6 +135,41 @@ def test_library_call_raises_the_manifest_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_every_builder_and_parameter_serves_a_stock_metric(monkeypatch):
+    """Each family and detector builds at least one stock metric, and each
+    stock metric's builder reads every parameter of its manifest section,
+    so a leftover builder or a misspelt key (``layr = lemma``) fails."""
+    built: list[packs._Params] = []
+
+    class Recorded(packs._Params):
+        def __init__(self, items):
+            super().__init__(items)
+            self.read: set[str] = set()
+            built.append(self)
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(packs, "_Params", Recorded)
+    families, detectors = set(), set()
+    for language in packs.PACK_FILES:
+        built.clear()
+        ids = packs.load_pack(language).ids()
+        assert len(built) == len(ids)
+        for mid, params in zip(ids, built):
+            assert set(params) <= params.read, mid
+        cfg = packs._read_manifest(language)
+        families |= {cfg[s]["family"] for s in cfg.sections() if "family" in cfg[s]}
+        detectors |= {cfg[s]["detector"] for s in cfg.sections() if "detector" in cfg[s]}
+    assert families == set(packs.FAMILIES)
+    assert detectors == set(packs.DETECTORS)
 
 
 class TestPackFiles:

@@ -22,7 +22,7 @@ from stylovec import lexicons, packs, universal
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
 from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS
-from stylovec.packs import registry_for
+from stylovec.packs import english, registry_for
 from stylovec.synth import duplicate, random_document
 from stylovec.universal import token_incidence, token_pattern
 
@@ -316,6 +316,50 @@ def test_capitalized_reads_the_case_preserving_surface_index():
 @settings(max_examples=30, deadline=None)
 def test_indexed_families_match_scans(seed, language):
     assert_indexed_families_match_scans(make_doc(seed, language))
+
+
+def verb_group_params() -> dict[str, dict[str, str]]:
+    """Each stock ``verb_group`` metric with its manifest parameters."""
+    cfg = packs._read_manifest("en")
+    return {section.split()[1]: {k: v for k, v in cfg[section].items() if k in english._VALUES}
+            for section in cfg.sections() if cfg[section].get("detector") == "verb_group"}
+
+
+def verb_group_firing(doc) -> set[str]:
+    """Check every verb-group metric and SYN_DO_SUPPORT against the groups of
+    ``extract_verb_groups``: a metric captures the classified groups (tense
+    set) matching its parameters, do-support any group with emphatic do.
+    Returns the ids of the metrics that captured something."""
+    results = {r.metric_id: r for r in evaluate_all(registry_for("en"), doc).results}
+    groups = [(si, sentence, g) for si, sentence in enumerate(doc.sentences)
+              for g in english.extract_verb_groups(sentence)]
+    expected = {
+        mid: {(si, t.index) for si, _, g in groups
+              if g.tense is not None and all(getattr(g, k) == v for k, v in params.items())
+              for t in g.tokens}
+        for mid, params in verb_group_params().items()}
+    expected["SYN_DO_SUPPORT"] = {(si, t.index) for si, sentence, g in groups
+                                  if english.do_support(g, sentence) for t in g.tokens}
+    for mid, refs in expected.items():
+        assert set(results[mid].captured) == refs, mid
+        assert results[mid].raw_count == len(refs), mid
+    return {mid for mid, refs in expected.items() if refs}
+
+
+def test_verb_group_metrics_read_the_groups_on_fixture_documents():
+    assert len(verb_group_params()) == 37
+    paths = sorted((Path(__file__).parent / "fixtures").rglob("*.conllu"))
+    docs = [parse_conllu(p.read_text(encoding="utf-8"), doc_id=p.stem) for p in paths]
+    english_docs = [d for d in docs if d.language == "en"]
+    assert len(english_docs) == 42
+    fired = set().union(*map(verb_group_firing, english_docs))
+    assert fired == {*verb_group_params(), "SYN_DO_SUPPORT"}
+
+
+@given(seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_verb_group_metrics_read_the_groups(seed):
+    verb_group_firing(make_doc(seed, "en"))
 
 
 MAX_EDITS = 3

@@ -52,10 +52,13 @@ class TestSyllableCount:
         ("serce", "pl", 2),     # no silent-e rule outside English
         ("привіт", "uk", 2),
         ("молоко", "ru", 3),
-        ("cat", "de", 1),       # unknown language uses the English vowels
     ])
     def test_counts(self, word, language, expected):
         assert syllable_count(word, language) == expected
+
+    def test_unknown_language_has_no_vowels(self):
+        with pytest.raises(KeyError):
+            syllable_count("cat", "de")
 
 
 class TestTokenTest:

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", type=split_values, default=None,
                      help="comma-separated metric id filter")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="parallel worker processes (at most one per file)")
     run.add_argument("--strict", action="store_true", help="abort on the first file error")
     run.add_argument("--report-json", help="also write the run report as JSON")
     run.set_defaults(func=_cmd_analyze)

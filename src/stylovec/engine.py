@@ -86,6 +86,14 @@ class DocContext:
         return index
 
     @cached_property
+    def word_index(self) -> dict[str, list[TokenRef]]:
+        """Refs of non-punctuation tokens by form as written."""
+        index: dict[str, list[TokenRef]] = {}
+        for si, ti, tok in self.non_punct_refs:
+            index.setdefault(tok.form, []).append((si, ti))
+        return index
+
+    @cached_property
     def ref_of(self) -> dict[TokenRef, TokenRef]:
         """Every (sentence, token) ref of the document, keyed by itself."""
         refs = list(chain.from_iterable(self.upos_index.values()))

@@ -116,10 +116,8 @@ def lexicon_incidence(lexicon: Lexicon):
     if lexicon.mode == "phrase":
         index = lexicon.phrase_index
         return lambda ctx: (_phrase_refs(ctx, index), None)
-    def rule(ctx: DocContext):
-        index = ctx.lemma_index if lexicon.mode == "lemma_exact" else ctx.form_index
-        return [ref for entry in lexicon.entries for ref in index.get(entry, ())], None
-    return rule
+    return key_incidence("lemma_index" if lexicon.mode == "lemma_exact" else "form_index",
+                         lexicon.entries.__contains__)
 
 
 def _phrase_refs(ctx: DocContext, index: dict[str, list[tuple[str, ...]]]) -> list[TokenRef]:

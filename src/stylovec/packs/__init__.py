@@ -116,7 +116,19 @@ def _parse_clause(spec: str) -> universal.SentenceClause:
 
 
 class _Params(dict):
-    """A metric's manifest parameters; a missing one is a PackError."""
+    """A metric's manifest parameters; a missing one is a PackError.
+    ``read`` holds the keys the builder asked for."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key: str, default=None):
+        return self[key] if key in self else default
 
     def __missing__(self, key: str):
         raise PackError(f"missing parameter {key!r}")
@@ -325,6 +337,9 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
         rule = builder(params, pack)
     except (ValueError, KeyError) as exc:
         raise PackError(str(exc)) from None
+    unread = [key for key in params if key not in params.read]
+    if unread:
+        raise PackError(f"unused parameter {unread[0]!r}")
     descriptor = MetricDescriptor(
         id=mid,
         category=category,

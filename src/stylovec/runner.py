@@ -84,14 +84,16 @@ def analyze_corpus(
     items = [(str(p), language, categories, metric_ids, debug_s) for p in files]
 
     result = RunResult(report=RunReport(str(input_path), language))
-    if jobs == 1 or len(items) <= 1:
+    # the pool forks every worker at once, so start no more than there are files
+    workers = min(jobs, len(items))
+    if workers <= 1:
         _collect(result, map(_process_file, items), strict, categories, metric_ids)
     else:
         # imported here so that jobs=1 runs and the CLI's start-up skip loading the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(items) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(items) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_process_file, items, chunksize=chunk)
             _collect(result, outcomes, strict, categories, metric_ids)
 

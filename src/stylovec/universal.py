@@ -23,11 +23,12 @@ from .model import CONTENT_UPOS, FUNCTION_UPOS, UPOS_TAGS, Sentence, Token
 # syllables
 
 
-_VOWELS = {
-    "en": frozenset("aeiouy"),
-    "pl": frozenset("aąeęioóuy"),
-    "uk": frozenset("аеєиіїоуюя"),
-    "ru": frozenset("аеёиоуыэюя"),
+# maximal runs of vowel letters, one pattern per language
+_VOWEL_RUN = {
+    "en": re.compile("[aeiouy]+"),
+    "pl": re.compile("[aąeęioóuy]+"),
+    "uk": re.compile("[аеєиіїоуюя]+"),
+    "ru": re.compile("[аеёиоуыэюя]+"),
 }
 
 
@@ -39,22 +40,10 @@ def syllable_count(word: str, language: str = "en") -> int:
     (digits, punctuation) count 0.
     """
     w = word.casefold()
-    vowels = _VOWELS[language]
-    runs = 0
-    prev = False
-    last_run_len = 0
-    for ch in w:
-        if ch in vowels:
-            if not prev:
-                runs += 1
-                last_run_len = 0
-            last_run_len += 1
-            prev = True
-        else:
-            prev = False
-    if language == "en" and runs >= 2 and prev and last_run_len == 1 and w.endswith("e"):
-        runs -= 1
-    return runs
+    runs = _VOWEL_RUN[language].findall(w)
+    if language == "en" and len(runs) >= 2 and runs[-1] == "e" and w.endswith("e"):
+        return len(runs) - 1
+    return len(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +259,19 @@ def top_frequency_incidence(fraction: float, layer: str = "form"):
 def word_length_incidence(min_syllables: int | None = None,
                           min_chars: int | None = None,
                           language: str = "en"):
+    """Non-punctuation words of at least ``min_chars`` characters and
+    ``min_syllables`` syllables (an unset bound always passes)."""
     if min_syllables is None and min_chars is None:
         raise ValueError("word_length needs min_syllables or min_chars")
     for name, bound in (("min_syllables", min_syllables), ("min_chars", min_chars)):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} {bound} below 1")
-    if language not in _VOWELS:
+    if language not in _VOWEL_RUN:
         raise ValueError(f"unknown language {language!r}")
-    def long_enough(tok: Token, sent: Sentence) -> bool:
-        if tok.is_punct:
-            return False
-        if min_chars is not None and len(tok.form) < min_chars:
-            return False
-        return min_syllables is None or syllable_count(tok.form, language) >= min_syllables
-    return token_incidence(long_enough)
+    def long_enough(form: str) -> bool:
+        return ((min_chars is None or len(form) >= min_chars)
+                and (min_syllables is None or syllable_count(form, language) >= min_syllables))
+    return key_incidence("word_index", long_enough)
 
 
 # kind -> test on the UPOS tag

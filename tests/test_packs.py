@@ -104,6 +104,8 @@ VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, mo
      VG_SHAPE + "['mood', 'tense']"),
     ({"detector": "verb_group_cell", "tense": "past", "aspect": "simple", "voice": "active"},
      "unknown detector 'verb_group_cell'"),
+    ({"family": "type_token_ratio", "layr": "lemma"}, "unused parameter 'layr'"),
+    ({"detector": "fronting", "tense": "past"}, "unused parameter 'tense'"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
     """Every error a manifest metric can raise, with its exact text; a
@@ -138,34 +140,26 @@ def test_library_call_raises_the_manifest_message(call, message):
 
 
 def test_every_builder_and_parameter_serves_a_stock_metric(monkeypatch):
-    """Each family and detector builds at least one stock metric, and each
-    stock metric's builder reads every parameter of its manifest section,
-    so a leftover builder or a misspelt key (``layr = lemma``) fails."""
+    """Each family and detector builds at least one stock metric, each stock
+    metric's builder reads every parameter of its manifest section, and every
+    metric section loads, so a leftover builder or a misspelt key fails."""
     built: list[packs._Params] = []
 
     class Recorded(packs._Params):
         def __init__(self, items):
             super().__init__(items)
-            self.read: set[str] = set()
             built.append(self)
-
-        def __getitem__(self, key):
-            self.read.add(key)
-            return super().__getitem__(key)
-
-        def get(self, key, default=None):
-            self.read.add(key)
-            return super().get(key, default)
 
     monkeypatch.setattr(packs, "_Params", Recorded)
     families, detectors = set(), set()
     for language in packs.PACK_FILES:
         built.clear()
         ids = packs.load_pack(language).ids()
+        cfg = packs._read_manifest(language)
+        assert ids == tuple(s.split()[1] for s in cfg.sections() if s.startswith("metric "))
         assert len(built) == len(ids)
         for mid, params in zip(ids, built):
             assert set(params) <= params.read, mid
-        cfg = packs._read_manifest(language)
         families |= {cfg[s]["family"] for s in cfg.sections() if "family" in cfg[s]}
         detectors |= {cfg[s]["detector"] for s in cfg.sections() if "detector" in cfg[s]}
     assert families == set(packs.FAMILIES)

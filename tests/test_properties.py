@@ -2,10 +2,12 @@
 
 Documents come from the package's own structural fuzzer, driven by a
 drawn integer seed, so every failure reproduces from the seed alone.
-The invariants here are the contract every metric must keep regardless
-of input shape: values stay inside [0, 1], the value is exactly the raw
-count over the token count, captures are well-formed references, and
-whole-document duplication leaves scale-invariant metrics untouched.
+The tests add XPOS values, NER labels and multiword ranges to those
+documents. The invariants here are the contract every metric must keep
+regardless of input shape: values stay inside [0, 1], the value is
+exactly the raw count over the token count, captures are well-formed
+references, and whole-document duplication leaves scale-invariant
+metrics untouched.
 The parser's contract is checked on edited fixture text: every mutant
 is either rejected with a line number or round-trips exactly.
 """
@@ -13,6 +15,8 @@ is either rejected with a line number or round-trips exactly.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from stylovec import lexicons, packs, universal
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
-from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS
+from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS, MultiwordRange, Sentence
 from stylovec.packs import english, registry_for
 from stylovec.synth import duplicate, random_document
 from stylovec.universal import token_incidence, token_pattern
@@ -34,10 +38,36 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 languages = st.sampled_from(LANGUAGES)
 
 
+XPOS_TAGS = ("NN", "NNS", "NNP", "VB", "VBD", "JJ", "Ncmsn", "Vmip3s")
+ENTITIES = ("PER", "LOC", "ORG")
+
+
+def with_ranges_xpos_and_entities(rng: random.Random, sentence: Sentence) -> Sentence:
+    """``sentence`` with random XPOS values and NER labels, and multiword ranges
+    over two or three adjacent tokens, ``SpaceAfter=No`` inside each range."""
+    tokens = [replace(t, xpos=rng.choice((None, *XPOS_TAGS)),
+                      entity=rng.choice((None, None, None, *ENTITIES)))
+              for t in sentence.tokens]
+    ranges = []
+    start = 0
+    while start + 1 < len(tokens):
+        if rng.random() < 0.2:
+            end = min(start + rng.randint(1, 2), len(tokens) - 1)
+            tokens[start:end] = [replace(t, space_after=False) for t in tokens[start:end]]
+            form = "".join(t.form for t in tokens[start:end + 1])
+            ranges.append(MultiwordRange(start, end, form, tokens[end].space_after))
+            start = end + 1
+        else:
+            start += 1
+    return Sentence(tuple(tokens), tuple(ranges))
+
+
 def make_doc(seed: int, language: str, max_tokens: int = 150):
     rng = random.Random(seed)
-    return random_document(rng, f"prop{seed}", language,
-                           token_count=rng.randint(1, max_tokens))
+    doc = random_document(rng, f"prop{seed}", language,
+                          token_count=rng.randint(1, max_tokens))
+    return replace(doc, sentences=tuple(with_ranges_xpos_and_entities(rng, s)
+                                        for s in doc.sentences))
 
 
 @given(seed=seeds, language=languages)
@@ -114,18 +144,7 @@ def test_evaluation_is_deterministic(seed, language):
 @settings(max_examples=40, deadline=None)
 def test_serialization_round_trip_preserves_every_field(seed, language):
     doc = make_doc(seed, language)
-    back = parse_conllu(to_conllu(doc), doc_id=doc.doc_id)
-    assert back.language == doc.language
-    assert len(back.sentences) == len(doc.sentences)
-    for orig_sent, new_sent in zip(doc.sentences, back.sentences):
-        assert len(new_sent.tokens) == len(orig_sent.tokens)
-        for orig, new in zip(orig_sent.tokens, new_sent.tokens):
-            assert (new.form, new.lemma, new.upos, new.xpos) == (
-                orig.form, orig.lemma, orig.upos, orig.xpos)
-            assert (new.head, new.deprel) == (orig.head, orig.deprel)
-            assert new.feats == orig.feats
-            assert new.entity == orig.entity
-            assert new.space_after == orig.space_after
+    assert parse_conllu(to_conllu(doc), doc_id=doc.doc_id) == doc
 
 
 def _raises_midway(ctx):
@@ -186,7 +205,48 @@ def test_vectors_without_captures_are_unchanged(seed, language):
 # predicate captures.
 
 INDEXED_FAMILIES = ("feat_incidence", "token_pattern", "content_function", "graphical",
-                    "lexicon", "sentiment", "norms")
+                    "word_length", "lexicon", "sentiment", "norms")
+
+
+VOWELS = {
+    "en": frozenset("aeiouy"),
+    "pl": frozenset("aąeęioóuy"),
+    "uk": frozenset("аеєиіїоуюя"),
+    "ru": frozenset("аеёиоуыэюя"),
+}
+
+
+def syllables_by_loop(word: str, language: str) -> int:
+    """The character loop and vowel sets that ``universal.syllable_count`` replaced."""
+    w = word.casefold()
+    vowels = VOWELS[language]
+    runs = 0
+    prev = False
+    last_run_len = 0
+    for ch in w:
+        if ch in vowels:
+            if not prev:
+                runs += 1
+                last_run_len = 0
+            last_run_len += 1
+            prev = True
+        else:
+            prev = False
+    if language == "en" and runs >= 2 and prev and last_run_len == 1 and w.endswith("e"):
+        runs -= 1
+    return runs
+
+
+# every vowel letter of the four languages in both cases, other letters,
+# digits, marks, and letters whose case folding changes their length
+WORD_CHARS = "".join(sorted(frozenset().union(*VOWELS.values()))) + \
+    "AEIOUYĄĘÓАЕЄИІЇОУЮЯЁЫЭ" + "bcdklmnrstxzжкмнпрсщ" + "0129-'ßİ"
+
+
+@given(word=st.text(alphabet=WORD_CHARS, max_size=12), language=languages)
+@settings(max_examples=500, deadline=None)
+def test_syllable_count_matches_the_character_loop(word, language):
+    assert universal.syllable_count(word, language) == syllables_by_loop(word, language)
 
 
 def _scan_test(params, pack):
@@ -205,13 +265,32 @@ def _scan_graphical(params, pack):
     return token_incidence(lambda t, s: test(t.form))
 
 
+def scan_word_length(min_syllables, min_chars, language):
+    """``word_length_incidence`` as its old scan of every token."""
+    def long_enough(tok, sent):
+        if tok.is_punct:
+            return False
+        if min_chars is not None and len(tok.form) < min_chars:
+            return False
+        return min_syllables is None or syllables_by_loop(tok.form, language) >= min_syllables
+    return token_incidence(long_enough)
+
+
+def _scan_word_length(params, pack):
+    return scan_word_length(params.number("min_syllables", optional=True),
+                            params.number("min_chars", optional=True), pack.language)
+
+
 def _scan_lexicon(params, pack):
     lexicon = pack.lexicon(params["lexicon"])
-    if lexicon.mode != "prefix":
+    if lexicon.mode == "phrase":
         return lexicons.lexicon_incidence(lexicon)
-    prefixes = tuple(lexicon.entries)
-    return token_incidence(lambda t, s: t.form.casefold() not in lexicon.exceptions
-                           and t.form.casefold().startswith(prefixes))
+    if lexicon.mode == "prefix":
+        prefixes = tuple(lexicon.entries)
+        return token_incidence(lambda t, s: t.form.casefold() not in lexicon.exceptions
+                               and t.form.casefold().startswith(prefixes))
+    key = (lambda t: t.lemma) if lexicon.mode == "lemma_exact" else (lambda t: t.form)
+    return token_incidence(lambda t, s: key(t).casefold() in lexicon.entries)
 
 
 def _scan_sentiment(params, pack):
@@ -233,7 +312,8 @@ def _scan_norms(params, pack):
 # each indexed family as the scan of every token that it replaces
 SCANS = {"feat_incidence": _scan_test, "token_pattern": _scan_test,
          "content_function": _scan_split, "graphical": _scan_graphical,
-         "lexicon": _scan_lexicon, "sentiment": _scan_sentiment, "norms": _scan_norms}
+         "word_length": _scan_word_length, "lexicon": _scan_lexicon,
+         "sentiment": _scan_sentiment, "norms": _scan_norms}
 _SCANNED: dict[str, Registry] = {}
 
 
@@ -248,18 +328,18 @@ def scanned_pack(language: str) -> Registry:
 
 
 def indexed_metric_ids(language: str) -> list[str]:
-    """Metrics of the indexed families; of the lexicon family, only prefix mode is indexed."""
+    """Metrics of the indexed families; of the lexicon family, phrase mode is not indexed."""
     cfg = packs._read_manifest(language)
     return [section.partition(" ")[2] for section in cfg.sections()
             if cfg[section].get("family") in INDEXED_FAMILIES
             and (cfg[section]["family"] != "lexicon"
-                 or cfg[f"lexicon {cfg[section]['lexicon']}"]["mode"] == "prefix")]
+                 or cfg[f"lexicon {cfg[section]['lexicon']}"]["mode"] != "phrase")]
 
 
-# Nested tests (no stock metric has one, and manifests cannot declare
-# one), with and without a top-level upos.
+# Nested, XPOS and entity tests (no stock metric has one, and manifests
+# cannot declare one), with and without a top-level upos.
 _Test = universal.TokenTest
-NESTED_TESTS = [
+LIBRARY_TESTS = [
     _Test(upos=frozenset({"VERB", "AUX"}), child=_Test(deprel=frozenset({"nsubj", "obj"}))),
     _Test(upos=frozenset({"NOUN", "PROPN", "PRON"}), no_child=_Test(upos=frozenset({"DET"}))),
     _Test(upos=frozenset({"ADJ", "ADV"}), head=_Test(upos=frozenset({"NOUN", "VERB"}))),
@@ -268,6 +348,10 @@ NESTED_TESTS = [
     _Test(upos=frozenset({"VERB"}),
           child=_Test(upos=frozenset({"NOUN", "PRON"}), no_child=_Test(upos=frozenset({"ADP"}))),
           head=_Test(upos=frozenset({"VERB"}))),
+    _Test(upos=frozenset({"NOUN", "PROPN", "VERB"}), xpos_prefix="NN"),
+    _Test(xpos_prefix="V"),
+    _Test(upos=frozenset({"NOUN", "PROPN", "PRON"}), entity="PER"),
+    _Test(entity="LOC", no_child=_Test(upos=frozenset({"DET"}))),
 ]
 
 
@@ -279,8 +363,12 @@ def assert_indexed_families_match_scans(doc):
     for mid in ids:
         assert scanned.get(mid).rule.__qualname__ == "token_incidence.<locals>.rule", mid
         assert set(stock.get(mid).rule(ctx)[0]) == set(scanned.get(mid).rule(ctx)[0]), mid
-    for test in NESTED_TESTS:
+    for test in LIBRARY_TESTS:
         assert set(token_pattern(test)(ctx)[0]) == set(token_incidence(test.matches)(ctx)[0]), test
+    # bounds low enough that punctuation would pass them
+    for bounds in ((None, 1), (1, None), (2, 3)):
+        assert set(universal.word_length_incidence(*bounds, doc.language)(ctx)[0]) == \
+            set(scan_word_length(*bounds, doc.language)(ctx)[0]), bounds
 
 
 def nasa_doc():
@@ -365,11 +453,31 @@ def test_verb_group_metrics_read_the_groups(seed):
 MAX_EDITS = 3
 # More token lines than edits, so no mutant loses every token line: an
 # empty document is the one whole-payload error, reported without a line.
+# The last source is a property document with multiword ranges, XPOS
+# and NER labels, which no fixture has.
 MUTATION_SOURCES = [
-    text for text in (p.read_text(encoding="utf-8")
-                      for p in sorted((Path(__file__).parent / "fixtures").rglob("*.conllu")))
+    text for text in [*(p.read_text(encoding="utf-8")
+                        for p in sorted((Path(__file__).parent / "fixtures").rglob("*.conllu"))),
+                      to_conllu(make_doc(1, "pl"))]
     if sum(line[:1].isdigit() for line in text.split("\n")) > MAX_EDITS
 ]
+
+
+def test_property_documents_reach_ranges_xpos_and_entities():
+    sentences = [s for seed in range(10) for s in make_doc(seed, "en").sentences]
+    tokens = [t for s in sentences for t in s.tokens]
+    assert sum(bool(s.ranges) for s in sentences) > len(sentences) // 4
+    assert {t.xpos for t in tokens} == {None, *XPOS_TAGS}
+    assert {t.entity for t in tokens} == {None, *ENTITIES}
+    for s in sentences:
+        for r in s.ranges:
+            assert not any(t.space_after for t in s.tokens[r.start:r.end])
+    ranged = MUTATION_SOURCES[-1]
+    assert re.search(r"^\d+-\d+\t", ranged, re.M)
+    assert re.search(r"^\d+\t([^\t]*\t){3}(NN|VB|JJ)", ranged, re.M)
+    assert "NER=PER" in ranged
+
+
 # Characters the format gives a meaning to, plus a letter, a non-ASCII
 # letter and a non-ASCII digit.
 EDIT_CHARS = "\t\n\r #-._=|:0129aé٣\ufeff"

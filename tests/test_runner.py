@@ -142,3 +142,34 @@ def test_bad_ref_is_an_error_with_or_without_debug_output(monkeypatch, tmp_path,
     result = dict(zip(vector.metric_ids, vector.results))["X_BAD_REF"]
     assert (result.value, result.raw_count) == (0.0, 0.0)
     assert result.error == f"ref {bad!r} is not a (sentence, token) pair of the document"
+
+
+@pytest.mark.parametrize("jobs,workers", [(64, 6), (4, 4)])
+def test_pool_starts_at_most_one_worker_per_file(monkeypatch, jobs, workers):
+    """The pool forks all its workers at the first submit, so ``jobs`` above the
+    file count is capped; a fake pool records the request and maps in-process."""
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            asked.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    run = analyze_corpus(CORPUS, jobs=jobs)
+    assert asked == [workers, 1]
+    assert run.report.processed == 6
+    serial = analyze_corpus(CORPUS, jobs=1)
+    assert {lang: [v.values for v in vs] for lang, vs in run.vectors.items()} == \
+        {lang: [v.values for v in vs] for lang, vs in serial.vectors.items()}

@@ -88,9 +88,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             write_vectors_json(pairs, args.out)
     print(report.summary(), file=sys.stderr)
     if args.report_json:
+        # a path that is not UTF-8 keeps its undecodable bytes as \udcXX escapes
         Path(args.report_json).write_text(
             json.dumps(report.as_dict(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
+            encoding="utf-8", errors="backslashreplace",
         )
     return 1 if report.failed else 0
 

@@ -11,6 +11,7 @@ zeros; decimal-id empty nodes are rejected. MISC is scanned for
 from __future__ import annotations
 
 import logging
+import os
 import re
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def list_corpus_files(path: str | Path) -> list[Path]:
     """
     root = Path(path)
     if root.is_dir():
-        files = sorted(root.glob(_CORPUS_PATTERN), key=lambda p: p.name.encode("utf-8"))
+        files = sorted(root.glob(_CORPUS_PATTERN), key=lambda p: os.fsencode(p.name))
         if not files:
             raise ParseError(f"empty corpus: no files matching {_CORPUS_PATTERN!r} under {root}")
         return files
@@ -236,9 +237,14 @@ def list_corpus_files(path: str | Path) -> list[Path]:
 def read_document(path: str | Path, language: str | None = None) -> Document:
     """Read, decode and parse one CoNLL-U file; the document id is the file stem.
 
-    Unreadable and non-UTF-8 files raise :class:`ParseError` like malformed ones.
+    Unreadable and non-UTF-8 files, and file names that are not UTF-8, raise
+    :class:`ParseError` like malformed ones.
     """
     path = Path(path)
+    try:
+        path.stem.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"file name is not valid UTF-8: {os.fsencode(path.name)!r}") from None
     try:
         payload = path.read_bytes().decode("utf-8")
     except OSError as exc:

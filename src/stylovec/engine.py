@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,6 +175,8 @@ def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
             raw = float(len(unique))
         if raw < 0:
             raise ValueError(f"negative raw count {raw}")
+        if not math.isfinite(raw):
+            raise ValueError(f"raw count {raw} is not finite")
     except Exception as exc:
         log.warning("metric %s failed: %s", metric.id, exc)
         return 0.0, 0.0, (), str(exc) or type(exc).__name__, False

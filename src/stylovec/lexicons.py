@@ -4,8 +4,8 @@ affective norms.
 Lexicon files hold one case-folded entry per line with ``#`` comments
 and an optional tab-separated signed weight. Matching modes: exact
 lemma, exact form, form prefix with a full-form exception list, and
-multi-word phrase (consecutive forms inside one sentence, greedy
-left-to-right, non-overlapping).
+multi-word phrase (consecutive forms inside one sentence, longest
+first, greedy left-to-right, non-overlapping).
 
 Norms files are tab-separated: a ``lemma`` column plus one column per
 scored dimension, the header cell carrying ``name:mean``; metrics count
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .engine import DocContext, TokenRef
-from .universal import key_incidence
+from .model import Sentence
+from .universal import key_incidence, sentence_refs
 
 log = logging.getLogger("stylovec")
 
@@ -115,30 +115,29 @@ def lexicon_incidence(lexicon: Lexicon):
                              and form.startswith(prefixes))
     if lexicon.mode == "phrase":
         index = lexicon.phrase_index
-        return lambda ctx: (_phrase_refs(ctx, index), None)
+        return sentence_refs(lambda sent: phrase_hits(sent, index))
     return key_incidence("lemma_index" if lexicon.mode == "lemma_exact" else "form_index",
                          lexicon.entries.__contains__)
 
 
-def _phrase_refs(ctx: DocContext, index: dict[str, list[tuple[str, ...]]]) -> list[TokenRef]:
-    refs: list[TokenRef] = []
-    for si, sent in enumerate(ctx.doc.sentences):
-        forms = [t.form.casefold() for t in sent.tokens]
-        ti = 0
-        n = len(forms)
-        while ti < n:
-            hit = None
-            for phrase in index.get(forms[ti], ()):
-                k = len(phrase)
-                if ti + k <= n and tuple(forms[ti:ti + k]) == phrase:
-                    hit = k
-                    break
-            if hit:
-                refs.extend((si, ti + j) for j in range(hit))
-                ti += hit
-            else:
-                ti += 1
-    return refs
+def phrase_hits(sent: Sentence, index: dict[str, list[tuple[str, ...]]]) -> list[int]:
+    """Token indices of the phrases of ``index`` (case-folded words keyed by
+    first word, longest first) in ``sent``: left to right, the longest phrase
+    starting at a token wins, and matches do not overlap."""
+    forms = [t.form.casefold() for t in sent.tokens]
+    hits: list[int] = []
+    ti = 0
+    n = len(forms)
+    while ti < n:
+        for phrase in index.get(forms[ti], ()):
+            k = len(phrase)
+            if tuple(forms[ti:ti + k]) == phrase:
+                hits.extend(range(ti, ti + k))
+                ti += k
+                break
+        else:
+            ti += 1
+    return hits
 
 
 def sentiment_incidence(lexicon: Lexicon, sign: str):

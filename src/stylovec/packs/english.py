@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from ..engine import DocContext, TokenRef
+from ..lexicons import phrase_hits
 from ..model import Sentence, Token
 from ..universal import sentence_refs
 
@@ -191,18 +192,12 @@ def fronting(sent: Sentence) -> list[int]:
 
 
 _IRRITATION_LEMMAS = frozenset({"constantly", "continuously", "always"})
-_IRRITATION_PHRASES = (("all", "the", "time"), ("every", "time"))
+_IRRITATION_PHRASES = {"all": [("all", "the", "time")], "every": [("every", "time")]}
 
 
 def _intensifiers(sent: Sentence) -> list[int]:
-    found = [t.index for t in sent.tokens if t.lemma.casefold() in _IRRITATION_LEMMAS]
-    forms = [t.form.casefold() for t in sent.tokens]
-    for phrase in _IRRITATION_PHRASES:
-        k = len(phrase)
-        for i in range(len(forms) - k + 1):
-            if tuple(forms[i:i + k]) == phrase:
-                found.extend(range(i, i + k))
-    return found
+    return ([t.index for t in sent.tokens if t.lemma.casefold() in _IRRITATION_LEMMAS]
+            + phrase_hits(sent, _IRRITATION_PHRASES))
 
 
 def irritation(ctx: DocContext):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .conllu import ParseError, list_corpus_files, read_document
 from .engine import StyloVector, evaluate_all
+from .model import LANGUAGES
 from .output import RunReport, write_debug_csv
 from .packs import PackError, registry_for
 
@@ -77,6 +78,10 @@ def analyze_corpus(
         # Validate the flag and any metric/category filter up front: a bad
         # run configuration is a usage error, not a per-file failure.
         registry_for(language, categories, metric_ids)
+    elif categories or metric_ids:
+        # A filter name that no pack knows is a usage error as well; one that
+        # only some packs know stays a per-file error for the other languages.
+        _check_known(categories, metric_ids)
     files = list_corpus_files(input_path)
     if debug_dir is not None:
         Path(debug_dir).mkdir(parents=True, exist_ok=True)
@@ -102,6 +107,16 @@ def analyze_corpus(
         result.report.schemas[lang] = vectors[0].schema_hash
     result.report.wall_time = time.monotonic() - started
     return result
+
+
+def _check_known(categories, metric_ids) -> None:
+    registries = [registry_for(lang) for lang in LANGUAGES]
+    for what, names, known in (
+            ("categories", categories, {c for r in registries for c in r.categories()}),
+            ("metric ids", metric_ids, {i for r in registries for i in r.ids()})):
+        bad = [name for name in names or () if name not in known]
+        if bad:
+            raise PackError(f"unknown {what}: {', '.join(sorted(bad))}")
 
 
 def _collect(result: RunResult, outcomes, strict: bool, categories, metric_ids) -> None:

@@ -175,11 +175,9 @@ def sentence_refs(find):
 
 
 def token_pattern(test: TokenTest):
-    """Capture every token satisfying ``test``; a test that sets ``upos``
-    is tried only on the tokens of its tags."""
-    if test.upos is None:
-        return token_incidence(test.matches)
-    tags = sorted(test.upos)
+    """Capture every token satisfying ``test``, tried on the tokens of each
+    UPOS tag it allows (every tag when it sets no ``upos``)."""
+    tags = sorted(UPOS_TAGS if test.upos is None else test.upos)
     matches = test.matches
     def rule(ctx: DocContext):
         sents = ctx.doc.sentences

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,48 @@ class TestAnalyzeFailures:
         ])
         assert code == 2
         assert "NO_SUCH_METRIC" in capsys.readouterr().err
+
+    def test_unknown_filter_without_lang_is_a_usage_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC, "b.conllu": PL_DOC})
+        out = tmp_path / "o.csv"
+        for flag, message in (("--categories", "unknown categories: NOPE"),
+                              ("--metrics", "unknown metric ids: NO_SUCH_METRIC")):
+            value = "NOPE" if flag == "--categories" else "NO_SUCH_METRIC,POS_NOUN"
+            code = main(["analyze", "--input", str(corpus), "--out", str(out), flag, value])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_filter_known_to_some_packs_fails_only_the_other_languages(self, tmp_path, capsys):
+        # "pos" is an English category and no Polish one
+        corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC, "b.conllu": PL_DOC})
+        out = tmp_path / "o.csv"
+        code = main(["analyze", "--input", str(corpus), "--out", str(out), "--categories", "pos"])
+        assert code == 1
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["a"]
+        assert "b.conllu: unknown categories: pos" in capsys.readouterr().err
+
+    def test_file_name_that_is_not_utf8_is_a_per_file_failure(self, tmp_path, capfd):
+        # capfd, not capsys: like sys.stderr, its stream does not fail on the
+        # undecodable character of the name in the summary
+        corpus = write_corpus(tmp_path / "c", {"d00000_en.conllu": EN_DOC})
+        try:
+            with open(os.fsencode(corpus) + b"/\xff_bad.conllu", "wb") as fh:
+                fh.write(EN_DOC.encode("utf-8"))
+        except OSError:
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        out = tmp_path / "o.csv"
+        report_path = tmp_path / "report.json"
+        code = main(["analyze", "--input", str(corpus), "--out", str(out),
+                     "--report-json", str(report_path)])
+        assert code == 1
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["d00000_en"]
+        assert "file name is not valid UTF-8: b'\\xff_bad.conllu'" in capfd.readouterr().err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert (report["processed"], report["failed"]) == (1, 1)
+        assert os.fsencode(report["errors"][0]["path"]).endswith(b"/\xff_bad.conllu")
 
     def test_missing_input_file_is_a_per_file_failure(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

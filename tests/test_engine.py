@@ -116,6 +116,18 @@ class TestEvaluateMetric:
         res = evaluate_metric(m, DocContext(d))
         assert res.error is not None
         assert res.value == 0.0 and res.raw_count == 0.0 and res.captured == ()
+        assert res.error == "negative raw count -1.0"
+
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_raw_becomes_error(self, raw):
+        d = doc(word_sentence("a", "b"))
+        reg = Registry([make_metric("M", lambda ctx: ([(0, 0)], raw)),
+                        make_metric("GOOD", lambda ctx: ([(0, 0)], None))])
+        for captures in (True, False):
+            v = evaluate_all(reg, d, captures=captures)
+            assert v.values == (0.0, 0.5)
+            assert v.raw_counts == (0.0, 1.0)
+            assert v.flags == ((0, f"raw count {raw} is not finite", False),)
 
     def test_rule_exception_becomes_error_result(self, caplog):
         d = doc(word_sentence("a"))

@@ -30,7 +30,7 @@ from stylovec.packs import english, registry_for
 from stylovec.synth import duplicate, random_document
 from stylovec.universal import token_incidence, token_pattern
 
-from conftest import doc as build_doc, sent, tok
+from conftest import doc as build_doc, sent, tok, word_sentence
 
 LANGUAGES = ("en", "pl", "uk", "ru")
 
@@ -284,7 +284,7 @@ def _scan_word_length(params, pack):
 def _scan_lexicon(params, pack):
     lexicon = pack.lexicon(params["lexicon"])
     if lexicon.mode == "phrase":
-        return lexicons.lexicon_incidence(lexicon)
+        return lambda ctx: (phrase_refs_by_loop(ctx, lexicon.phrase_index), None)
     if lexicon.mode == "prefix":
         prefixes = tuple(lexicon.entries)
         return token_incidence(lambda t, s: t.form.casefold() not in lexicon.exceptions
@@ -448,6 +448,155 @@ def test_verb_group_metrics_read_the_groups_on_fixture_documents():
 @settings(max_examples=30, deadline=None)
 def test_verb_group_metrics_read_the_groups(seed):
     verb_group_firing(make_doc(seed, "en"))
+
+
+def phrase_refs_by_loop(ctx, index):
+    """The phrase mode of ``lexicon_incidence`` as its own loop over the
+    case-folded forms of each sentence: longest phrase first, greedy,
+    non-overlapping."""
+    refs = []
+    for si, sentence in enumerate(ctx.doc.sentences):
+        forms = [t.form.casefold() for t in sentence.tokens]
+        ti = 0
+        n = len(forms)
+        while ti < n:
+            hit = None
+            for phrase in index.get(forms[ti], ()):
+                k = len(phrase)
+                if ti + k <= n and tuple(forms[ti:ti + k]) == phrase:
+                    hit = k
+                    break
+            if hit:
+                refs.extend((si, ti + j) for j in range(hit))
+                ti += hit
+            else:
+                ti += 1
+    return refs
+
+
+def phrase_metric_ids(language: str) -> list[str]:
+    cfg = packs._read_manifest(language)
+    return [section.partition(" ")[2] for section in cfg.sections()
+            if cfg[section].get("family") == "lexicon"
+            and cfg[f"lexicon {cfg[section]['lexicon']}"]["mode"] == "phrase"]
+
+
+def stock_phrase_document(language: str):
+    """Sentences of the entries of the stock phrase lexicons of ``language``:
+    all entries run together, the same title-cased, and their words shuffled."""
+    cfg = packs._read_manifest(language)
+    entries = sorted(entry for section in cfg.sections()
+                     if section.startswith("lexicon ") and cfg[section]["mode"] == "phrase"
+                     for entry in lexicons.load_lexicon(packs.DATA_DIR / cfg[section]["file"],
+                                                        "phrase").entries)
+    words = " ".join(entries).split()
+    shuffled = random.Random(1).sample(words, len(words))
+    return build_doc(*(word_sentence(*ws) for ws in (words, [w.title() for w in words], shuffled)),
+                     language=language)
+
+
+FIXTURE_DOCS = [parse_conllu(p.read_text(encoding="utf-8"), doc_id=p.stem)
+                for p in sorted((Path(__file__).parent / "fixtures").rglob("*.conllu"))]
+
+
+def test_stock_phrase_lexicons_match_the_loop():
+    fired = set()
+    for document in FIXTURE_DOCS + [stock_phrase_document("en"), stock_phrase_document("pl")]:
+        ctx = DocContext(document)
+        stock, scanned = registry_for(document.language), scanned_pack(document.language)
+        for mid in phrase_metric_ids(document.language):
+            refs, raw = stock.get(mid).rule(ctx)
+            assert (refs, raw) == scanned.get(mid).rule(ctx), (document.doc_id, mid)
+            if refs:
+                fired.add(mid)
+    assert fired == {mid for lang in LANGUAGES for mid in phrase_metric_ids(lang)}
+    assert len(fired) == 9
+
+
+PHRASE_WORDS = ("in", "spite", "of", "ha", "strasse")
+# forms that case-fold to a phrase word, and two that fold to none
+PHRASE_FORMS = ("in", "In", "IN", "spite", "Spite", "of", "OF", "ha", "Ha", "HA",
+                "Straße", "STRASSE", "inn", "the")
+# shared first words, nested and self-overlapping phrases, and phrases
+# longer than any drawn sentence
+SHAPED_PHRASES = ("in spite", "in spite of", "in of", "spite of", "ha ha", "ha ha ha",
+                  "of in spite of ha", " ".join(["ha"] * 10))
+phrase_sets = st.builds(
+    lambda shaped, drawn: frozenset(shaped) | {" ".join(words) for words in drawn},
+    st.sets(st.sampled_from(SHAPED_PHRASES)),
+    st.sets(st.lists(st.sampled_from(PHRASE_WORDS), min_size=1, max_size=5).map(tuple),
+            max_size=6),
+).filter(bool)
+
+
+@given(phrases=phrase_sets,
+       sentences=st.lists(st.lists(st.sampled_from(PHRASE_FORMS), min_size=1, max_size=9),
+                          min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_phrase_lexicons_match_the_loop(phrases, sentences):
+    lexicon = lexicons.Lexicon("phrases", "phrase", phrases)
+    ctx = DocContext(build_doc(*(word_sentence(*forms) for forms in sentences)))
+    assert lexicons.lexicon_incidence(lexicon)(ctx) == \
+        (phrase_refs_by_loop(ctx, lexicon.phrase_index), None)
+
+
+def intensifiers_by_window(sentence):
+    """``english._intensifiers`` as a window loop over every occurrence of
+    each phrase."""
+    found = [t.index for t in sentence.tokens if t.lemma.casefold() in english._IRRITATION_LEMMAS]
+    forms = [t.form.casefold() for t in sentence.tokens]
+    for phrase in (("all", "the", "time"), ("every", "time")):
+        k = len(phrase)
+        for i in range(len(forms) - k + 1):
+            if tuple(forms[i:i + k]) == phrase:
+                found.extend(range(i, i + k))
+    return found
+
+
+IRRITATION_CHUNKS = (("always",), ("Always",), ("constantly",), ("all", "the", "time"),
+                     ("ALL", "The", "time"), ("every", "time"), ("Every", "TIME"),
+                     ("all", "the"), ("the", "time"), ("every",), ("all",), ("time",), ("day",))
+ENGLISH_FIXTURES = [d for d in FIXTURE_DOCS if d.language == "en"]
+
+
+def with_words(document, words):
+    """``document`` with ``words`` appended to every sentence as adverbs of its root."""
+    def extend(sentence):
+        extra = [tok(len(sentence) + i, w, upos="ADV", head=sentence.root.index, deprel="advmod")
+                 for i, w in enumerate(words)]
+        return Sentence(sentence.tokens + tuple(extra), sentence.ranges)
+    return replace(document, sentences=tuple(map(extend, document.sentences)))
+
+
+def assert_irritation_matches_the_window_loop(document):
+    """SYN_IRRITATION captures the same tokens as with the window loop; returns them."""
+    for sentence in document.sentences:
+        assert sorted(english._intensifiers(sentence)) == sorted(intensifiers_by_window(sentence))
+    rule = registry_for("en").get("SYN_IRRITATION").rule
+    refs, raw = rule(DocContext(document))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(english, "_intensifiers", intensifiers_by_window)
+        old_refs, old_raw = rule(DocContext(document))
+    assert (sorted(refs), raw) == (sorted(old_refs), old_raw)
+    return {document.token_at(si, ti).form for si, ti in refs}
+
+
+def test_irritation_matches_the_window_loop_on_fixture_documents():
+    assert len(ENGLISH_FIXTURES) == 42
+    forms = set()
+    for document in ENGLISH_FIXTURES:
+        for chunk in IRRITATION_CHUNKS:
+            forms |= assert_irritation_matches_the_window_loop(with_words(document, chunk))
+    # every intensifier fires somewhere, and the near misses never do
+    assert {f.casefold() for f in forms} >= {"always", "constantly", "all", "the", "time", "every"}
+    assert "day" not in forms
+
+
+@given(document=st.sampled_from(ENGLISH_FIXTURES),
+       chunks=st.lists(st.sampled_from(IRRITATION_CHUNKS), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_irritation_matches_the_window_loop(document, chunks):
+    assert_irritation_matches_the_window_loop(with_words(document, [w for c in chunks for w in c]))
 
 
 MAX_EDITS = 3

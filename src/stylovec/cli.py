@@ -1,7 +1,8 @@
 """Command-line surface: ``analyze`` and ``list-metrics`` subcommands.
 
-Exit codes: 0 full success, 1 any document failed (or a strict-mode
-abort), 2 usage or configuration errors.
+Exit codes, all set in ``main``: 0 full success; 1 a failed document, a ``--strict``
+abort (``StrictAbort``) or an ``OSError``; 2 a bad argument or configuration
+(``RunnerError``, ``PackError``, ``ParseError``, ``OutputError``).
 """
 
 from __future__ import annotations
@@ -58,24 +59,16 @@ def _out_path(base: str, language: str, multi: bool) -> Path:
     return path.with_name(f"{path.stem}.{language}{path.suffix or '.csv'}")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        result = analyze_corpus(
-            args.input,
-            language=args.lang,
-            categories=args.categories,
-            metric_ids=args.metrics,
-            jobs=args.jobs,
-            strict=args.strict,
-            debug_dir=args.debug_out,
-        )
-    except StrictAbort as exc:
-        print(f"stylovec: error: {exc}", file=sys.stderr)
-        return 1
-    except (RunnerError, PackError, ParseError) as exc:
-        print(f"stylovec: error: {exc}", file=sys.stderr)
-        return 2
+def _say(text: str) -> None:
+    """Print to stderr; what its encoding cannot write is escaped, as Python's own stderr does."""
+    encoding = sys.stderr.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
 
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    result = analyze_corpus(args.input, language=args.lang, categories=args.categories,
+                            metric_ids=args.metrics, jobs=args.jobs, strict=args.strict,
+                            debug_dir=args.debug_out)
     report = result.report
     languages = result.languages
     multi = len(languages) > 1
@@ -86,7 +79,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else:
             pairs = [(lang, vec) for lang in languages for vec in result.vectors[lang]]
             write_vectors_json(pairs, args.out)
-    print(report.summary(), file=sys.stderr)
+    _say(report.summary())
     if args.report_json:
         # a path that is not UTF-8 keeps its undecodable bytes as \udcXX escapes
         Path(args.report_json).write_text(
@@ -97,11 +90,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_metrics(args: argparse.Namespace) -> int:
-    try:
-        registry = registry_for(args.lang, categories=args.categories)
-    except PackError as exc:
-        print(f"stylovec: error: {exc}", file=sys.stderr)
-        return 2
+    registry = registry_for(args.lang, categories=args.categories)
     if args.format == "json":
         payload = [
             {
@@ -131,12 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OutputError as exc:
-        print(f"stylovec: error: {exc}", file=sys.stderr)
-        return 2
+    except StrictAbort as exc:
+        error, code = exc, 1
+    except (RunnerError, PackError, ParseError, OutputError) as exc:
+        error, code = exc, 2
     except OSError as exc:
-        print(f"stylovec: error: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 1
+    _say(f"stylovec: error: {error}")
+    return code
 
 
 if __name__ == "__main__":

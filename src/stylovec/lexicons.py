@@ -171,10 +171,11 @@ def load_norms(path: str | Path) -> AffectiveNorms:
     """Parse a norms table; the header declares each dimension with its
     mean as ``name:mean``."""
     path = Path(path)
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [(n, ln) for n, ln in enumerate(read_text(path).splitlines(), start=1)
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise LexiconError(f"{path}: empty norms file")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     if len(header) < 2 or header[0] != "lemma":
         raise LexiconError(f"{path}: header must be 'lemma' plus dimension columns")
     dimensions: list[str] = []
@@ -191,7 +192,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
             raise LexiconError(f"{path}: duplicate dimension {dim!r}")
         dimensions.append(dim)
     scores: dict[str, dict[str, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(header):
             raise LexiconError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")

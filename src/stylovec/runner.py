@@ -74,14 +74,10 @@ def analyze_corpus(
     started = time.monotonic()
     if jobs < 1:
         raise RunnerError(f"jobs must be >= 1, got {jobs}")
-    if language is not None:
-        # Validate the flag and any metric/category filter up front: a bad
-        # run configuration is a usage error, not a per-file failure.
-        registry_for(language, categories, metric_ids)
-    elif categories or metric_ids:
-        # A filter name that no pack knows is a usage error as well; one that
-        # only some packs know stays a per-file error for the other languages.
-        _check_known(categories, metric_ids)
+    if language is not None or categories or metric_ids:
+        # A bad language, or a filter name no pack in play knows, is a usage error; without
+        # a language, a name only some packs know fails just the other languages' files.
+        _check_known(LANGUAGES if language is None else (language,), categories, metric_ids)
     files = list_corpus_files(input_path)
     if debug_dir is not None:
         Path(debug_dir).mkdir(parents=True, exist_ok=True)
@@ -100,7 +96,12 @@ def analyze_corpus(
         chunk = max(1, len(items) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_process_file, items, chunksize=chunk)
-            _collect(result, outcomes, strict, categories, metric_ids)
+            try:
+                _collect(result, outcomes, strict, categories, metric_ids)
+            except StrictAbort:
+                # leaving the block waits for every chunk: drop those not yet started
+                pool.shutdown(cancel_futures=True)
+                raise
 
     for lang, vectors in result.vectors.items():
         vectors.sort(key=lambda v: v.doc_id.encode("utf-8"))
@@ -109,8 +110,8 @@ def analyze_corpus(
     return result
 
 
-def _check_known(categories, metric_ids) -> None:
-    registries = [registry_for(lang) for lang in LANGUAGES]
+def _check_known(languages, categories, metric_ids) -> None:
+    registries = [registry_for(lang) for lang in languages]
     for what, names, known in (
             ("categories", categories, {c for r in registries for c in r.categories()}),
             ("metric ids", metric_ids, {i for r in registries for i in r.ids()})):

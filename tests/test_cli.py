@@ -8,13 +8,23 @@ the files/streams the run produces.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from stylovec import cli, runner
 from stylovec.cli import main
+from stylovec.conllu import ParseError
+from stylovec.output import OutputError
+from stylovec.packs import PackError
+from stylovec.runner import RunnerError, StrictAbort
+from stylovec.runner import _process_file as process_file
 
 GOLDEN_CORPUS = Path(__file__).parent / "fixtures" / "golden" / "corpus"
 
@@ -54,6 +64,14 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _slow_when_ok(item):
+    """The runner's worker body, 20 ms slower for each file that succeeds."""
+    outcome = process_file(item)
+    if outcome[0] == "ok":
+        time.sleep(0.02)
+    return outcome
 
 
 class TestAnalyzeCsv:
@@ -279,12 +297,98 @@ class TestAnalyzeFailures:
         assert not out.exists()
         assert "aaa-broken.conllu" in capsys.readouterr().err
 
+    def test_strict_abort_at_two_jobs_leaves_chunks_not_started(self, monkeypatch, tmp_path,
+                                                                capsys):
+        # 40 files make 8 chunks of 5; the first chunk fails at once while the good
+        # files are slowed down, so the abort comes before the last chunks start
+        monkeypatch.setattr(runner, "_process_file", _slow_when_ok)
+        bad = {f"a{i}.conllu": "garbage\n" for i in range(5)}
+        good = {f"d{i:02d}.conllu": EN_DOC for i in range(35)}
+        corpus = write_corpus(tmp_path / "c", {**bad, **good})
+        debug = tmp_path / "debug"
+        code = main(["analyze", "--input", str(corpus), "--out", str(tmp_path / "o.csv"),
+                     "--lang", "en", "--strict", "--debug-out", str(debug), "--jobs", "2"])
+        assert code == 1
+        assert "a0.conllu" in capsys.readouterr().err
+        assert len(list(debug.iterdir())) < len(good)
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC})
+        code = main(["analyze", "--input", str(corpus), "--out", str(tmp_path / "o.csv"),
+                     "--jobs", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "stylovec: error: jobs must be >= 1, got 0\n"
+
     def test_unwritable_output_path_fails_cleanly(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC})
         out = tmp_path / "no" / "such" / "dir" / "o.csv"
         code = main(["analyze", "--input", str(corpus), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err
+
+
+def _corpus_with_non_utf8_name(root: Path) -> Path:
+    corpus = write_corpus(root, {"a.conllu": EN_DOC})
+    try:
+        with open(os.fsencode(corpus) + b"/bad\xff.conllu", "wb") as fh:
+            fh.write(EN_DOC.encode("utf-8"))
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    return corpus
+
+
+EXIT_CODES = [(StrictAbort, 1), (RunnerError, 2), (PackError, 2), (ParseError, 2),
+              (OutputError, 2), (OSError, 1)]
+
+
+class TestErrorOutput:
+    @pytest.mark.parametrize("error,code", EXIT_CODES, ids=[e.__name__ for e, _ in EXIT_CODES])
+    @pytest.mark.parametrize("command", ["analyze", "list-metrics"])
+    def test_each_error_class_has_one_exit_code(self, monkeypatch, tmp_path, capsys,
+                                                command, error, code):
+        def fail(*args, **kwargs):
+            raise error("it went wrong")
+
+        monkeypatch.setattr(cli, "analyze_corpus", fail)
+        monkeypatch.setattr(cli, "registry_for", fail)
+        argv = (["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "o.csv")]
+                if command == "analyze" else ["list-metrics", "--lang", "en"])
+        assert main(argv) == code
+        assert capsys.readouterr().err.splitlines() == ["stylovec: error: it went wrong"]
+
+    def test_other_value_errors_are_not_swallowed(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise UnicodeEncodeError("utf-8", "\udcff", 0, 1, "surrogates not allowed")
+
+        monkeypatch.setattr(cli, "analyze_corpus", fail)
+        with pytest.raises(UnicodeEncodeError):
+            main(["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "o.csv")])
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["summary", "strict"])
+    def test_non_utf8_name_on_a_strict_stderr(self, monkeypatch, tmp_path, strict):
+        corpus = _corpus_with_non_utf8_name(tmp_path / "c")
+        buffer = io.BytesIO()
+        stream = io.TextIOWrapper(buffer, encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stderr", stream)
+        argv = ["analyze", "--input", str(corpus), "--out", str(tmp_path / "o.csv")]
+        assert main(argv + ["--strict"] * strict) == 1
+        stream.flush()
+        err = buffer.getvalue().decode("utf-8")
+        line = "bad\\udcff.conllu: file name is not valid UTF-8: b'bad\\xff.conllu'"
+        assert (f"stylovec: error: {corpus}/{line}" if strict else f"error: {corpus}/{line}") \
+            in err.splitlines()
+
+    def test_interpreter_stderr_bytes_are_the_escaped_summary(self, tmp_path):
+        corpus = _corpus_with_non_utf8_name(tmp_path / "c")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   PYTHONIOENCODING="utf-8")
+        run = subprocess.run(
+            [sys.executable, "-m", "stylovec.cli", "analyze", "--input", str(corpus),
+             "--out", str(tmp_path / "o.csv")],
+            env=env, capture_output=True, timeout=60)
+        assert run.returncode == 1
+        assert (b"error: " + os.fsencode(corpus) + b"/bad\\udcff.conllu: file name is not"
+                b" valid UTF-8: b'bad\\xff.conllu'") in run.stderr.splitlines()
 
 
 class TestListMetrics:

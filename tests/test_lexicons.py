@@ -241,6 +241,15 @@ class TestLoadNorms:
             norms = load_norms(self.put(tmp_path, body))
         assert norms.scores["x"]["v"] == 5.0
 
+    def test_errors_name_the_line_of_the_file(self, tmp_path, caplog):
+        # comment and blank lines count: the bad row is line 6 of the file
+        head = "# comment\n\nlemma\tv:1\n# another\ndobro\t6\n"
+        with pytest.raises(LexiconError, match=r"norms\.tsv:6: non-numeric score"):
+            load_norms(self.put(tmp_path, head + "zlo\tx\n"))
+        with caplog.at_level(logging.WARNING, logger="stylovec"):
+            load_norms(self.put(tmp_path, head + "\ndobro\t2\n"))
+        assert "norms.tsv:7: duplicate lemma 'dobro' ignored" in caplog.text
+
 
 class TestNormsIncidence:
     def norms(self):

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from stylovec import runner
-from stylovec.conllu import read_document
+from stylovec.conllu import ParseError, read_document
 from stylovec.engine import Metric, MetricDescriptor, Registry, evaluate_all
+from stylovec.model import LANGUAGES
+from stylovec.packs import PackError
 from stylovec.runner import analyze_corpus
 
 CORPUS = Path(__file__).parent / "fixtures" / "golden" / "corpus"
@@ -108,6 +110,39 @@ def test_collect_looks_up_ids_once_per_language(monkeypatch):
     runner._collect(result, outcomes, False, None, None)
     assert calls == ["en", "pl"]
     assert result.report.processed == 5
+
+
+@pytest.mark.parametrize("kwargs,loaded", [
+    ({}, []),
+    ({"language": "en"}, ["en"]),
+    ({"language": "en", "metric_ids": ["POS_NOUN"]}, ["en"]),
+    ({"categories": ["pos"]}, list(LANGUAGES)),
+], ids=["none", "language", "language-and-filter", "filter"])
+def test_configuration_check_loads_packs_only_for_a_language_or_filter(
+        monkeypatch, tmp_path, kwargs, loaded):
+    calls = []
+    real = runner.registry_for
+
+    def spy(language, *filters):
+        calls.append(language)
+        return real(language, *filters)
+
+    monkeypatch.setattr(runner, "registry_for", spy)
+    # the check runs before the corpus is listed, so an empty one shows what it loaded
+    with pytest.raises(ParseError, match="empty corpus"):
+        analyze_corpus(tmp_path, **kwargs)
+    assert calls == loaded
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"language": "xx"}, "unsupported language 'xx'"),
+    ({"language": "pl", "categories": ["pos", "NOPE"]}, "unknown categories: NOPE, pos"),
+    ({"language": "en", "metric_ids": ["SY_S_NEG"]}, "unknown metric ids: SY_S_NEG"),
+    ({"metric_ids": ["NOPE", "SY_S_NEG"]}, "unknown metric ids: NOPE"),
+])
+def test_configuration_check_messages(tmp_path, kwargs, message):
+    with pytest.raises(PackError, match=message):
+        analyze_corpus(tmp_path, **kwargs)
 
 
 def test_cli_import_does_not_load_the_process_pool():

@@ -1,8 +1,9 @@
 """Command-line surface: ``analyze`` and ``list-metrics`` subcommands.
 
 Exit codes, all set in ``main``: 0 full success; 1 a failed document, a ``--strict``
-abort (``StrictAbort``) or an ``OSError``; 2 a bad argument or configuration
-(``RunnerError``, ``PackError``, ``ParseError``, ``OutputError``).
+abort (``StrictAbort``), a worker process that died (``WorkerDied``) or an ``OSError``;
+2 a bad argument or configuration (``RunnerError``, ``PackError``, ``ParseError``,
+``OutputError``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .conllu import ParseError
 from .model import LANGUAGES
 from .output import OutputError, write_vectors_csv, write_vectors_json
 from .packs import PackError, registry_for, split_values
-from .runner import RunnerError, StrictAbort, analyze_corpus
+from .runner import RunnerError, StrictAbort, WorkerDied, analyze_corpus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StrictAbort as exc:
+    except (StrictAbort, WorkerDied) as exc:
         error, code = exc, 1
     except (RunnerError, PackError, ParseError, OutputError) as exc:
         error, code = exc, 2

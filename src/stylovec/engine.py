@@ -1,7 +1,7 @@
 """Metric evaluation engine.
 
 A metric is a named rule evaluated against one document. Rules receive
-a :class:`DocContext` (document plus shared lazy indexes) and return the
+a :class:`DocContext` (document plus shared indexes) and return the
 token references they captured, optionally with an explicit raw count.
 The engine normalizes every raw count by the document token count, so
 each value lands in [0, 1] and vectors are comparable across documents
@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .model import Document, Token
@@ -39,30 +38,28 @@ def ratio(numerator: float, denominator: float) -> float:
     return value
 
 
-@dataclass
 class DocContext:
-    """Per-document evaluation context with shared lazy indexes.
+    """Per-document evaluation context with shared indexes.
 
     Built once per document and handed to every rule, so repeated
     scans (by UPOS, by lemma) and pack-level analyses (verb groups)
-    are computed at most once.
+    are computed at most once. Every evaluation reads ``refs``,
+    ``upos_index`` and ``ref_of``, so they are built up front in one
+    pass; the other indexes are built on first use.
     """
 
-    doc: Document
-
-    def __post_init__(self) -> None:
+    def __init__(self, doc: Document) -> None:
+        self.doc = doc
         self._memo: dict[str, object] = {}
-
-    @cached_property
-    def refs(self) -> list[tuple[int, int, Token]]:
-        return self.doc.refs()
-
-    @cached_property
-    def upos_index(self) -> dict[str, list[TokenRef]]:
-        index: dict[str, list[TokenRef]] = {}
-        for si, ti, tok in self.refs:
-            index.setdefault(tok.upos, []).append((si, ti))
-        return index
+        refs: list[tuple[int, int, Token]] = doc.refs()
+        upos_index: dict[str, list[TokenRef]] = {}
+        # every (sentence, token) ref of the document, keyed by itself
+        ref_of: dict[TokenRef, TokenRef] = {}
+        for si, ti, tok in refs:
+            ref = (si, ti)
+            ref_of[ref] = ref
+            upos_index.setdefault(tok.upos, []).append(ref)
+        self.refs, self.upos_index, self.ref_of = refs, upos_index, ref_of
 
     @cached_property
     def lemma_index(self) -> dict[str, list[TokenRef]]:
@@ -93,12 +90,6 @@ class DocContext:
         for si, ti, tok in self.non_punct_refs:
             index.setdefault(tok.form, []).append((si, ti))
         return index
-
-    @cached_property
-    def ref_of(self) -> dict[TokenRef, TokenRef]:
-        """Every (sentence, token) ref of the document, keyed by itself."""
-        refs = list(chain.from_iterable(self.upos_index.values()))
-        return dict(zip(refs, refs))
 
     @cached_property
     def non_punct_refs(self) -> list[tuple[int, int, Token]]:

@@ -67,8 +67,9 @@ def read_text(path: Path) -> str:
         raise LexiconError(f"{path}: cannot read: {exc}") from None
 
 
-def _read_entries(path: Path) -> list[tuple[str, float | None]]:
-    out: list[tuple[str, float | None]] = []
+def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
+    """``(line number, entry, weight)`` for every entry line of a lexicon file."""
+    out: list[tuple[int, str, float | None]] = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -80,7 +81,7 @@ def _read_entries(path: Path) -> list[tuple[str, float | None]]:
                 weight = float(rest.strip())
             except ValueError:
                 raise LexiconError(f"{path}:{lineno}: bad weight {rest.strip()!r}") from None
-        out.append((" ".join(entry.casefold().split()), weight))
+        out.append((lineno, " ".join(entry.casefold().split()), weight))
     return out
 
 
@@ -90,14 +91,14 @@ def load_lexicon(path: str | Path, mode: str, name: str | None = None,
     an entry-free file is an error."""
     path = Path(path)
     entries: dict[str, float | None] = {}
-    for entry, weight in _read_entries(path):
+    for lineno, entry, weight in _read_entries(path):
         if entry in entries:
-            log.warning("%s: duplicate entry %r ignored", path, entry)
+            log.warning("%s:%d: duplicate entry %r ignored", path, lineno, entry)
             continue
         entries[entry] = weight
     exceptions: frozenset[str] = frozenset()
     if exceptions_path is not None:
-        exceptions = frozenset(e for e, _ in _read_entries(Path(exceptions_path)))
+        exceptions = frozenset(e for _, e, _ in _read_entries(Path(exceptions_path)))
     return Lexicon(
         name=name or path.stem,
         mode=mode,

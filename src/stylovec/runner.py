@@ -31,6 +31,10 @@ class StrictAbort(RunnerError):
     """First file error under strict mode."""
 
 
+class WorkerDied(RunnerError):
+    """A worker process ended abruptly, so the pool returned no more results."""
+
+
 @dataclass
 class RunResult:
     """Vectors grouped by language (each list sorted by doc_id bytes)."""
@@ -92,6 +96,7 @@ def analyze_corpus(
     else:
         # imported here so that jobs=1 runs and the CLI's start-up skip loading the pool
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         chunk = max(1, len(items) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -102,6 +107,8 @@ def analyze_corpus(
                 # leaving the block waits for every chunk: drop those not yet started
                 pool.shutdown(cancel_futures=True)
                 raise
+            except BrokenProcessPool as exc:
+                raise WorkerDied(f"a worker process died, so the run stopped: {exc}") from exc
 
     for lang, vectors in result.vectors.items():
         vectors.sort(key=lambda v: v.doc_id.encode("utf-8"))

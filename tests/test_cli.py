@@ -23,7 +23,7 @@ from stylovec.cli import main
 from stylovec.conllu import ParseError
 from stylovec.output import OutputError
 from stylovec.packs import PackError
-from stylovec.runner import RunnerError, StrictAbort
+from stylovec.runner import RunnerError, StrictAbort, WorkerDied
 from stylovec.runner import _process_file as process_file
 
 GOLDEN_CORPUS = Path(__file__).parent / "fixtures" / "golden" / "corpus"
@@ -337,8 +337,8 @@ def _corpus_with_non_utf8_name(root: Path) -> Path:
     return corpus
 
 
-EXIT_CODES = [(StrictAbort, 1), (RunnerError, 2), (PackError, 2), (ParseError, 2),
-              (OutputError, 2), (OSError, 1)]
+EXIT_CODES = [(StrictAbort, 1), (WorkerDied, 1), (RunnerError, 2), (PackError, 2),
+              (ParseError, 2), (OutputError, 2), (OSError, 1)]
 
 
 class TestErrorOutput:

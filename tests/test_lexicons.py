@@ -48,6 +48,13 @@ class TestLoadLexicon:
         assert lx.weights["alpha"] == 1.0
         assert any("duplicate" in r.message for r in caplog.records)
 
+    def test_duplicate_warning_names_the_line_of_the_file(self, tmp_path, caplog):
+        # comment and blank lines count: the second 'foo' is line 5 of the file
+        p = self.put(tmp_path, "# c\nfoo\n\nbar\nfoo\n")
+        with caplog.at_level(logging.WARNING, logger="stylovec"):
+            load_lexicon(p, mode="form_exact")
+        assert f"{p}:5: duplicate entry 'foo' ignored" in caplog.text
+
     def test_weights_parsed(self, tmp_path):
         p = self.put(tmp_path, "good\t2.5\nbad\t-1\nmeh\t0\nplain\n")
         lx = load_lexicon(p, mode="form_exact")

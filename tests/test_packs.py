@@ -217,6 +217,21 @@ def test_every_family_and_detector_is_used_by_a_stock_manifest():
     assert set(packs.DETECTORS) - used == set()
 
 
+@pytest.mark.parametrize("language", packs.PACK_FILES)
+def test_only_phrase_distance_counts_differ_from_their_captures(language):
+    """The README contract: a stock metric's raw count is its number of captured
+    tokens, except for the non-local metrics, which are exactly the PD_* ones."""
+    registry = registry_for(language)
+    non_local = [m.id for m in registry if not m.descriptor.local]
+    assert non_local and non_local == [i for i in registry.ids() if i.startswith("PD_")]
+    for path in sorted((TESTS / "fixtures").rglob("*.conllu")):
+        document = parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+        if document.language == language:
+            for result in evaluate_all(registry, document).results:
+                assert result.metric_id in non_local or \
+                    result.raw_count == len(result.captured), (path.name, result.metric_id)
+
+
 def _captures_csv(metric_ids=lambda language: None) -> str:
     """Debug rows of the metrics ``metric_ids(language)`` picks (all of
     them by default) over the fixture documents, under one header."""

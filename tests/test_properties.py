@@ -406,6 +406,43 @@ def test_indexed_families_match_scans(seed, language):
     assert_indexed_families_match_scans(make_doc(seed, language))
 
 
+LAZY_TABLES = ("lemma_index", "form_index", "surface_index", "word_index", "non_punct_refs")
+
+
+@given(seed=seeds, language=languages)
+@settings(max_examples=30, deadline=None)
+def test_context_tables_match_a_scan_and_build_nothing_unread(seed, language):
+    doc = make_doc(seed, language)
+    ctx = DocContext(doc)
+    assert ctx.refs == doc.refs()
+    scan: dict[str, list[tuple[int, int]]] = {}
+    for si, sentence in enumerate(doc.sentences):
+        for ti, token in enumerate(sentence.tokens):
+            scan.setdefault(token.upos, []).append((si, ti))
+    assert ctx.upos_index == scan
+    filed = [ref for refs in ctx.upos_index.values() for ref in refs]
+    assert len(ctx.ref_of) == len(filed) == doc.token_count
+    assert all(ctx.ref_of[ref] is ref for ref in filed)
+
+    contexts = []
+
+    def nouns(ctx):
+        contexts.append(ctx)
+        return ctx.upos_index.get("NOUN", []), None
+
+    registry = Registry([
+        Metric(MetricDescriptor("X_NOUN", "X", language, ""), nouns),
+        Metric(MetricDescriptor("X_VERB", "X", language, ""), universal.pos_incidence("VERB")),
+        Metric(MetricDescriptor("X_ADJ", "X", language, ""),
+               token_pattern(universal.TokenTest(upos=frozenset({"ADJ", "ADV"})))),
+    ])
+    for captures in (True, False):
+        evaluate_all(registry, doc, captures=captures)
+    assert len(contexts) == 2
+    for ctx in contexts:
+        assert not set(LAZY_TABLES) & ctx.__dict__.keys()
+
+
 def verb_group_params() -> dict[str, dict[str, str]]:
     """Each stock ``verb_group`` metric with its manifest parameters."""
     cfg = packs._read_manifest("en")

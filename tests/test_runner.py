@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stylovec import runner
+from stylovec import cli, runner
 from stylovec.conllu import ParseError, read_document
 from stylovec.engine import Metric, MetricDescriptor, Registry, evaluate_all
 from stylovec.model import LANGUAGES
@@ -208,3 +209,25 @@ def test_pool_starts_at_most_one_worker_per_file(monkeypatch, jobs, workers):
     serial = analyze_corpus(CORPUS, jobs=1)
     assert {lang: [v.values for v in vs] for lang, vs in run.vectors.items()} == \
         {lang: [v.values for v in vs] for lang, vs in serial.vectors.items()}
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched registry")
+def test_a_dying_worker_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+
+    def die_on_one_file(ctx):
+        if ctx.doc.doc_id == "dies" and os.getpid() != parent:
+            os._exit(3)
+        return [], None
+
+    _with_rules(monkeypatch, (("X_DIES", die_on_one_file),))
+    text = (CORPUS / "alpha_en.conllu").read_bytes()
+    for stem in ("a", "b", "dies"):
+        (tmp_path / f"{stem}.conllu").write_bytes(text)
+    argv = ["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "o.csv"),
+            "--jobs", "2"]
+    assert cli.main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("stylovec: error: a worker process died, so the run stopped: ")
+    assert not (tmp_path / "o.csv").exists()

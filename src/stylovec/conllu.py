@@ -5,7 +5,8 @@ Parses the 10-column tab-separated format: integer-id token lines,
 breaks. Every token line must be fully annotated (lemma, UPOS, head,
 deprel), no column may be empty, and ids are decimals without leading
 zeros; decimal-id empty nodes are rejected. MISC is scanned for
-``SpaceAfter=No`` and ``NER=<label>``.
+``SpaceAfter=No`` and ``NER=<label>``. The writer refuses a value that
+the reader would reject or read back differently.
 """
 
 from __future__ import annotations
@@ -189,21 +190,67 @@ def _feats_column(feats: dict[str, str]) -> str:
     return "|".join(f"{k}={v}" for k, v in sorted(feats.items()))
 
 
+def _unreadable(cols: list[str], tok: Token | None) -> tuple[str, str] | None:
+    """``(column, reason)`` for the first column of a line that
+    :func:`parse_conllu` would reject or read back differently, None when
+    the line reads back as written. ``tok`` is the token a token line
+    holds, None for a range line."""
+    for name, value in zip(_COLUMNS, cols):
+        if not value:
+            return name, "empty value"
+        if "\t" in value or "\n" in value:
+            return name, f"tab or newline in {value!r}"
+    # the reader folds the "\r\n" line ending to "\n"
+    if cols[-1].endswith("\r"):
+        return "MISC", f"{cols[-1]!r} ends in a carriage return"
+    if tok is None:
+        return None
+    if tok.lemma == "_" and tok.form != "_":
+        return "LEMMA", "'_' reads back as the form"
+    if tok.upos not in UPOS_TAGS:
+        return "UPOS", f"invalid UPOS tag {tok.upos!r}"
+    if tok.xpos in ("", "_"):
+        return "XPOS", f"{tok.xpos!r} reads back as no XPOS"
+    for key, value in tok.feats.items():
+        if not key or not value or "=" in key or "|" in key + value:
+            return "FEATS", f"feature {key!r}={value!r} does not read back"
+    if tok.deprel == "_":
+        return "DEPREL", "'_' reads back as a missing DEPREL"
+    if tok.entity is not None and (not tok.entity or "|" in tok.entity):
+        return "MISC", f"NER label {tok.entity!r} does not read back"
+    return None
+
+
 def to_conllu(doc: Document) -> str:
-    """Serialize a document back to CoNLL-U text."""
+    """Serialize a document to CoNLL-U text that :func:`parse_conllu` reads
+    back as ``doc``; a value it would reject or read back differently is a
+    :class:`ModelError` naming the sentence, the token and the column."""
+    if not doc.sentences:
+        raise ModelError("document has no sentences")
+    lang = doc.language
+    if lang is not None and (not lang or lang != lang.strip() or "\n" in lang):
+        raise ModelError(f"language {lang!r} does not read back from a comment")
     out: list[str] = []
-    if doc.language:
-        out.append(f"# language = {doc.language}")
-    for sent in doc.sentences:
+
+    def emit(where: str, cols: list[str], tok: Token | None = None) -> None:
+        problem = _unreadable(cols, tok)
+        if problem is not None:
+            raise ModelError(f"{where}, column {problem[0]}: {problem[1]}")
+        out.append("\t".join(cols))
+
+    if lang:
+        out.append(f"# language = {lang}")
+    for si, sent in enumerate(doc.sentences, start=1):
         by_start = {r.start: r for r in sent.ranges}
         for tok in sent.tokens:
             rng = by_start.get(tok.index)
             if rng is not None:
-                out.append("\t".join([
-                    f"{rng.start + 1}-{rng.end + 1}", rng.form, "_", "_", "_",
+                span = f"{rng.start + 1}-{rng.end + 1}"
+                emit(f"sentence {si}, range {span}", [
+                    span, rng.form, "_", "_", "_",
                     "_", "_", "_", "_", _misc_column(None, rng.space_after),
-                ]))
-            out.append("\t".join([
+                ])
+            emit(f"sentence {si}, token {tok.index + 1}", [
                 str(tok.index + 1),
                 tok.form,
                 tok.lemma,
@@ -214,7 +261,7 @@ def to_conllu(doc: Document) -> str:
                 tok.deprel,
                 tok.deps,
                 _misc_column(tok.entity, tok.space_after),
-            ]))
+            ], tok)
         out.append("")
     return "\n".join(out) + "\n"
 

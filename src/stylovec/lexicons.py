@@ -10,11 +10,13 @@ first, greedy left-to-right, non-overlapping).
 Norms files are tab-separated: a ``lemma`` column plus one column per
 scored dimension, the header cell carrying ``name:mean``; metrics count
 lemmas scoring strictly above (or at most) the declared mean.
+Weights, means and scores must be finite numbers.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -67,6 +69,16 @@ def read_text(path: Path) -> str:
         raise LexiconError(f"{path}: cannot read: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, with ``nan`` and the infinities a ValueError too:
+    ``nan`` falls on neither side of zero or of a mean, and no rating
+    scale reaches infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
     """``(line number, entry, weight)`` for every entry line of a lexicon file."""
     out: list[tuple[int, str, float | None]] = []
@@ -78,7 +90,7 @@ def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
         weight = None
         if rest:
             try:
-                weight = float(rest.strip())
+                weight = _finite(rest.strip())
             except ValueError:
                 raise LexiconError(f"{path}:{lineno}: bad weight {rest.strip()!r}") from None
         out.append((lineno, " ".join(entry.casefold().split()), weight))
@@ -186,7 +198,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
         if not sep or not dim:
             raise LexiconError(f"{path}: header cell {cell!r} must be 'name:mean'")
         try:
-            means[dim] = float(mean)
+            means[dim] = _finite(mean)
         except ValueError:
             raise LexiconError(f"{path}: bad mean in header cell {cell!r}") from None
         if dim in dimensions:
@@ -202,7 +214,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
             log.warning("%s:%d: duplicate lemma %r ignored", path, lineno, lemma)
             continue
         try:
-            scores[lemma] = {d: float(c) for d, c in zip(dimensions, cells[1:])}
+            scores[lemma] = {d: _finite(c) for d, c in zip(dimensions, cells[1:])}
         except ValueError:
             raise LexiconError(f"{path}:{lineno}: non-numeric score") from None
     if not scores:

@@ -107,12 +107,12 @@ def _parse_test(spec: str) -> universal.TokenTest:
     return universal.TokenTest(**kwargs)
 
 
-def _parse_clause(spec: str) -> universal.SentenceClause:
+def _parse_clause(spec: str):
     quantifier, sep, rest = spec.partition(";")
     quantifier = quantifier.strip()
     if not sep:
         raise PackError(f"clause {spec!r} lacks conditions")
-    return universal.SentenceClause(quantifier=quantifier, test=_parse_test(rest))
+    return universal.clause(quantifier, _parse_test(rest))
 
 
 class _Params(dict):

@@ -118,28 +118,23 @@ class TokenTest:
         return True
 
 
-_QUANTIFIERS = ("any", "all", "none", "first", "last")
+# quantifier -> predicate over a sentence, given a token test's ``matches``
+_QUANTIFIERS = {
+    "any": lambda matches: lambda sent: any(matches(t, sent) for t in sent.tokens),
+    "all": lambda matches: lambda sent: all(matches(t, sent) for t in sent.tokens),
+    "none": lambda matches: lambda sent: not any(matches(t, sent) for t in sent.tokens),
+    "first": lambda matches: lambda sent: matches(sent.tokens[0], sent),
+    "last": lambda matches: lambda sent: matches(sent.tokens[-1], sent),
+}
 
 
-@dataclass(frozen=True)
-class SentenceClause:
-    quantifier: str
-    test: TokenTest
-
-    def __post_init__(self) -> None:
-        if self.quantifier not in _QUANTIFIERS:
-            raise ValueError(f"unknown quantifier {self.quantifier!r}")
-
-    def holds(self, sent: Sentence) -> bool:
-        if self.quantifier == "any":
-            return any(self.test.matches(t, sent) for t in sent.tokens)
-        if self.quantifier == "all":
-            return all(self.test.matches(t, sent) for t in sent.tokens)
-        if self.quantifier == "none":
-            return not any(self.test.matches(t, sent) for t in sent.tokens)
-        if self.quantifier == "first":
-            return self.test.matches(sent.tokens[0], sent)
-        return self.test.matches(sent.tokens[-1], sent)
+def clause(quantifier: str, test: TokenTest):
+    """Predicate ``sentence -> bool``: ``test`` holds for any, all, none,
+    the first or the last of the sentence's tokens."""
+    bind = _QUANTIFIERS.get(quantifier)
+    if bind is None:
+        raise ValueError(f"unknown quantifier {quantifier!r}")
+    return bind(test.matches)
 
 
 def token_incidence(pred):
@@ -158,20 +153,17 @@ def key_incidence(index: str, test):
     return rule
 
 
-def sentence_incidence(pred):
-    """Capture all tokens of every sentence for which ``pred(sentence)`` holds."""
-    def rule(ctx: DocContext):
-        return [(si, ti) for si, sent in enumerate(ctx.doc.sentences) if pred(sent)
-                for ti in range(len(sent))], None
-    return rule
-
-
 def sentence_refs(find):
     """Capture ``(si, ti)`` for every index ``ti`` that ``find(sentence)``
     returns in sentence ``si``."""
     def rule(ctx: DocContext):
         return [(si, ti) for si, sent in enumerate(ctx.doc.sentences) for ti in find(sent)], None
     return rule
+
+
+def sentence_incidence(pred):
+    """Capture all tokens of every sentence for which ``pred(sentence)`` holds."""
+    return sentence_refs(lambda sent: range(len(sent)) if pred(sent) else ())
 
 
 def token_pattern(test: TokenTest):
@@ -192,11 +184,12 @@ def token_pattern(test: TokenTest):
     return rule
 
 
-def sentence_pattern(clauses: tuple[SentenceClause, ...]):
-    """Capture all tokens of every sentence where every clause holds."""
+def sentence_pattern(clauses):
+    """Capture all tokens of every sentence where every clause predicate
+    (see :func:`clause`) holds."""
     if not clauses:
         raise ValueError("sentence_pattern needs clause.N keys")
-    return sentence_incidence(lambda sent: all(cl.holds(sent) for cl in clauses))
+    return sentence_incidence(lambda sent: all(holds(sent) for holds in clauses))
 
 
 def pos_incidence(upos: str):

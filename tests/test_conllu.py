@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from stylovec.conllu import (
     to_conllu,
 )
 from stylovec.engine import evaluate_all
+from stylovec.model import Document, ModelError, MultiwordRange, Sentence
 from stylovec.packs import registry_for
 from stylovec.runner import StrictAbort, analyze_corpus
 
@@ -319,6 +321,65 @@ class TestRoundTrip:
             language="en",
         )
         assert parse_conllu(to_conllu(d), doc_id="t") == d
+
+
+class TestWriteRefusals:
+    """to_conllu refuses what parse_conllu would reject or read back
+    differently, and writes what reads back unchanged."""
+
+    def one(self, language="en", **fields):
+        word = replace(tok(1, "x", upos="VERB"), **fields)
+        return doc(sent(tok(0, "ja", upos="PRON", head=1, deprel="nsubj"), word),
+                   language=language)
+
+    @pytest.mark.parametrize("fields, column", [
+        ({"lemma": "_"}, "LEMMA"),
+        ({"xpos": "_"}, "XPOS"),
+        ({"xpos": ""}, "XPOS"),
+        ({"feats": {"A": "b|C=d"}}, "FEATS"),
+        ({"feats": {"A=B": "c"}}, "FEATS"),
+        ({"feats": {"A": ""}}, "FEATS"),
+        ({"entity": "PER|X"}, "MISC"),
+        ({"entity": ""}, "MISC"),
+        ({"entity": "PER\r"}, "MISC"),
+        ({"form": "a\tb"}, "FORM"),
+        ({"form": "a\nb"}, "FORM"),
+        ({"form": ""}, "FORM"),
+        ({"lemma": ""}, "LEMMA"),
+        ({"deps": ""}, "DEPS"),
+        ({"upos": "BAD"}, "UPOS"),
+        ({"deprel": "_"}, "DEPREL"),
+    ])
+    def test_unreadable_value_names_sentence_token_and_column(self, fields, column):
+        with pytest.raises(ModelError, match=rf"^sentence 1, token 2, column {column}: "):
+            to_conllu(self.one(**fields))
+
+    def test_unreadable_range_form_is_refused(self):
+        tokens = (tok(0, "do", space_after=False), tok(1, "nt", head=0, deprel="dep"))
+        d = Document("r", "en", (Sentence(tokens, (MultiwordRange(0, 1, "do\tnt"),)),))
+        with pytest.raises(ModelError, match=r"^sentence 1, range 1-2, column FORM: "):
+            to_conllu(d)
+
+    @pytest.mark.parametrize("language", ["", " en", "en\n", "e\nn"])
+    def test_unreadable_language_is_refused(self, language):
+        with pytest.raises(ModelError, match="language"):
+            to_conllu(self.one(language=language))
+
+    def test_document_without_sentences_is_refused(self):
+        with pytest.raises(ModelError, match="no sentences"):
+            to_conllu(Document("empty", "en", ()))
+
+    @pytest.mark.parametrize("fields", [
+        {"form": "_", "lemma": "_"},
+        {"form": "a\rb", "xpos": "x_"},
+        {"feats": {"A": "b=c", "_": "x,y"}},
+        {"entity": "A=B"},
+        {"entity": "PER\r", "space_after": False},
+        {"deps": "_", "deprel": "obj:x"},
+    ])
+    def test_values_that_read_back_are_written(self, fields):
+        d = self.one(**fields)
+        assert parse_conllu(to_conllu(d), doc_id=d.doc_id) == d
 
 
 class TestCorpusLoading:

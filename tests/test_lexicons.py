@@ -66,6 +66,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="weight"):
             load_lexicon(p, mode="form_exact")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-Infinity"])
+    def test_non_finite_weight_is_error(self, tmp_path, weight):
+        p = self.put(tmp_path, f"good\t1\nword\t{weight}\n")
+        with pytest.raises(LexiconError, match=rf"words\.txt:2: bad weight '{weight}'"):
+            load_lexicon(p, mode="form_exact")
+
     def test_empty_file_is_error(self, tmp_path):
         p = self.put(tmp_path, "# only a comment\n")
         with pytest.raises(LexiconError, match="empty"):
@@ -236,6 +242,18 @@ class TestLoadNorms:
     def test_non_numeric_score_rejected(self, tmp_path):
         body = "lemma\tv:1\nx\thigh\n"
         with pytest.raises(LexiconError, match="non-numeric"):
+            load_norms(self.put(tmp_path, body))
+
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_rejected(self, tmp_path, mean):
+        with pytest.raises(LexiconError, match=rf"bad mean in header cell 'v:{mean}'"):
+            load_norms(self.put(tmp_path, f"lemma\tv:{mean}\nx\t1\n"))
+
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        # a nan score would sit in neither above_mean nor below_mean
+        body = f"lemma\tv:1\ndobry\t2\nzly\t{score}\n"
+        with pytest.raises(LexiconError, match=r"norms\.tsv:3: non-numeric score"):
             load_norms(self.put(tmp_path, body))
 
     def test_no_rows_rejected(self, tmp_path):

@@ -9,7 +9,9 @@ exactly the raw count over the token count, captures are well-formed
 references, and whole-document duplication leaves scale-invariant
 metrics untouched.
 The parser's contract is checked on edited fixture text: every mutant
-is either rejected with a line number or round-trips exactly.
+is either rejected with a line number or round-trips exactly. The
+writer's contract is checked on documents with edited field values:
+each is either refused, naming the value's place, or round-trips.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import random
 import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, reject, settings, strategies as st
 
-from stylovec import lexicons, packs, universal
+from stylovec import conllu, lexicons, packs, universal
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
-from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS, MultiwordRange, Sentence
+from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS, ModelError, MultiwordRange, Sentence
 from stylovec.packs import english, registry_for
 from stylovec.synth import duplicate, random_document
 from stylovec.universal import token_incidence, token_pattern
@@ -577,6 +580,62 @@ def test_phrase_lexicons_match_the_loop(phrases, sentences):
         (phrase_refs_by_loop(ctx, lexicon.phrase_index), None)
 
 
+def clause_holds_by_chain(quantifier, test, sentence):
+    """``universal.clause`` as the if-chain it replaced, reading the
+    quantifier for every sentence."""
+    if quantifier == "any":
+        return any(test.matches(t, sentence) for t in sentence.tokens)
+    if quantifier == "all":
+        return all(test.matches(t, sentence) for t in sentence.tokens)
+    if quantifier == "none":
+        return not any(test.matches(t, sentence) for t in sentence.tokens)
+    if quantifier == "first":
+        return test.matches(sentence.tokens[0], sentence)
+    return test.matches(sentence.tokens[-1], sentence)
+
+
+QUANTIFIERS = ("any", "all", "none", "first", "last")
+
+
+def stock_clause_tests() -> list:
+    """The token test of every clause.N key of the stock manifests, once each."""
+    specs = {spec.partition(";")[2].strip()
+             for language in LANGUAGES for section in packs._read_manifest(language).values()
+             for key, spec in section.items() if key.startswith("clause.")}
+    return [packs._parse_test(spec) for spec in sorted(specs)]
+
+
+STOCK_CLAUSE_TESTS = stock_clause_tests()
+
+
+def clause_outcomes(document) -> set[tuple[str, int, bool]]:
+    """Check every quantifier with every stock clause test against the
+    chain on each sentence; returns the (quantifier, test, outcome) seen."""
+    seen = set()
+    for sentence in document.sentences:
+        for q in QUANTIFIERS:
+            for i, test in enumerate(STOCK_CLAUSE_TESTS):
+                holds = universal.clause(q, test)(sentence)
+                assert holds == clause_holds_by_chain(q, test, sentence), (q, test)
+                seen.add((q, i, holds))
+    return seen
+
+
+def test_clauses_match_the_chain_on_fixed_documents():
+    assert len(STOCK_CLAUSE_TESTS) == 6
+    documents = FIXTURE_DOCS + [make_doc(seed, "en") for seed in range(5)]
+    seen = set().union(*map(clause_outcomes, documents))
+    # every stock test both holds and fails on some sentence under "any"
+    assert {(i, holds) for q, i, holds in seen if q == "any"} == \
+        {(i, holds) for i in range(len(STOCK_CLAUSE_TESTS)) for holds in (True, False)}
+
+
+@given(seed=seeds, language=languages)
+@settings(max_examples=40, deadline=None)
+def test_clauses_match_the_chain(seed, language):
+    clause_outcomes(make_doc(seed, language))
+
+
 def intensifiers_by_window(sentence):
     """``english._intensifiers`` as a window loop over every occurrence of
     each phrase."""
@@ -695,3 +754,64 @@ def test_mutated_text_is_rejected_with_a_line_or_round_trips(source, edits):
         assert exc.line > 0, str(exc)
         return
     assert parse_conllu(to_conllu(doc), doc_id="mutant") == doc
+
+
+# Values a CoNLL-U line gives a meaning to: "_", "", "|", "=", tab,
+# newline and carriage return, alone, inside a word and drawn as text.
+odd_text = (st.sampled_from(("", "_", "|", "=", "a|b", "a=b", "a\tb", "a\nb", "a\r"))
+            | st.text(alphabet="_|=\t\n\ra", max_size=3))
+EDITED_FIELDS = ("form", "lemma", "upos", "xpos", "feat key", "feat value", "deprel", "deps",
+                 "entity", "range form", "language")
+value_edits = st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0),
+                                 st.sampled_from(EDITED_FIELDS), odd_text), max_size=2)
+
+
+def with_values(document, edits):
+    """``document`` with each (sentence, token, field, value) edit applied;
+    sentence and token wrap around, and a range form edits every range of
+    the sentence. A tree the edit breaks is a ModelError."""
+    for si, ti, field, value in edits:
+        if field == "language":
+            document = replace(document, language=value)
+            continue
+        sentences = list(document.sentences)
+        si %= len(sentences)
+        tokens, ranges = list(sentences[si].tokens), sentences[si].ranges
+        if field == "range form":
+            ranges = tuple(replace(r, form=value) for r in ranges)
+        else:
+            ti %= len(tokens)
+            change = {"feat key": {"feats": {value: "x"}},
+                      "feat value": {"feats": {"A": value}}}.get(field, {field: value})
+            tokens[ti] = replace(tokens[ti], **change)
+        sentences[si] = Sentence(tuple(tokens), ranges)
+        document = replace(document, sentences=tuple(sentences))
+    return document
+
+
+@given(seed=seeds, edits=value_edits)
+@settings(max_examples=500, deadline=None)
+def test_written_text_reads_back_or_the_writer_refuses(seed, edits):
+    try:
+        document = with_values(make_doc(seed, "en", max_tokens=12), edits)
+    except ModelError:  # a non-root token lost its relation
+        reject()
+    try:
+        text = to_conllu(document)
+    except ModelError as exc:
+        with mock.patch.object(conllu, "_unreadable", lambda cols, tok: None):
+            try:
+                text = to_conllu(document)
+            except ModelError:  # the document's language was refused
+                return
+        # a refused line names its place, and would not read back: written
+        # unchecked, the text is rejected or reads back as another document
+        assert re.match(r"sentence \d+, (token \d+|range \d+-\d+), column [A-Z]+: ", str(exc))
+        try:
+            assert parse_conllu(text, doc_id=document.doc_id) != document
+        except ParseError:
+            pass
+        event("refused")
+        return
+    event("round trip")
+    assert parse_conllu(text, doc_id=document.doc_id) == document

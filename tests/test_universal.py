@@ -9,8 +9,8 @@ from stylovec.engine import DocContext
 from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS
 from stylovec.universal import (
     GRAPHICAL_KINDS,
-    SentenceClause,
     TokenTest,
+    clause,
     function_content_split,
     graphical_incidence,
     has_emoji,
@@ -144,16 +144,16 @@ class TestSentenceClause:
             tok(2, "!", upos="PUNCT", head=1, deprel="punct"),
         )
         noun = TokenTest(upos=frozenset({"NOUN"}))
-        assert SentenceClause("any", noun).holds(s)
-        assert not SentenceClause("all", noun).holds(s)
-        assert SentenceClause("none", TokenTest(upos=frozenset({"ADJ"}))).holds(s)
-        assert SentenceClause("first", noun).holds(s)
-        assert not SentenceClause("last", noun).holds(s)
-        assert SentenceClause("last", TokenTest(is_punct=True)).holds(s)
+        assert clause("any", noun)(s)
+        assert not clause("all", noun)(s)
+        assert clause("none", TokenTest(upos=frozenset({"ADJ"})))(s)
+        assert clause("first", noun)(s)
+        assert not clause("last", noun)(s)
+        assert clause("last", TokenTest(is_punct=True))(s)
 
     def test_unknown_quantifier_rejected(self):
-        with pytest.raises(ValueError):
-            SentenceClause("some", TokenTest())
+        with pytest.raises(ValueError, match="unknown quantifier 'some'"):
+            clause("some", TokenTest())
 
 
 class TestPatternRules:
@@ -168,8 +168,8 @@ class TestPatternRules:
             sent(tok(0, "Go", upos="VERB"), tok(1, "!", upos="PUNCT", head=0, deprel="punct")),
             word_sentence("quiet", "words", "here"),
         )
-        clause = SentenceClause("last", TokenTest(form_in=frozenset({"!"})))
-        refs, raw = run(sentence_pattern((clause,)), d)
+        exclaims = clause("last", TokenTest(form_in=frozenset({"!"})))
+        refs, raw = run(sentence_pattern((exclaims,)), d)
         assert refs == [(0, 0), (0, 1)]
         assert raw == 2
 
@@ -179,8 +179,8 @@ class TestPatternRules:
             sent(tok(0, "Ouch", upos="INTJ"), tok(1, "!", upos="PUNCT", head=0, deprel="punct")),
         )
         clauses = (
-            SentenceClause("last", TokenTest(form_in=frozenset({"!"}))),
-            SentenceClause("any", TokenTest(upos=frozenset({"VERB"}))),
+            clause("last", TokenTest(form_in=frozenset({"!"}))),
+            clause("any", TokenTest(upos=frozenset({"VERB"}))),
         )
         refs, _ = run(sentence_pattern(clauses), d)
         assert refs == [(0, 0), (0, 1)]

@@ -121,7 +121,7 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
     """
     if payload.startswith("﻿"):
         payload = payload[1:]
-    payload = payload.replace("\r\n", "\n")
+    payload = payload.replace("\r\n", "\n").removesuffix("\r")
     sentences: list[Sentence] = []
     rows: list[tuple[int, list[str]]] = []
     ranges: list[tuple[int, int, int, str, str]] = []
@@ -200,7 +200,7 @@ def _unreadable(cols: list[str], tok: Token | None) -> tuple[str, str] | None:
             return name, "empty value"
         if "\t" in value or "\n" in value:
             return name, f"tab or newline in {value!r}"
-    # the reader folds the "\r\n" line ending to "\n"
+    # the reader folds the "\r\n" line ending to "\n" and drops a final "\r"
     if cols[-1].endswith("\r"):
         return "MISC", f"{cols[-1]!r} ends in a carriage return"
     if tok is None:

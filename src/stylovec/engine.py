@@ -43,9 +43,9 @@ class DocContext:
 
     Built once per document and handed to every rule, so repeated
     scans (by UPOS, by lemma) and pack-level analyses (verb groups)
-    are computed at most once. Every evaluation reads ``refs``,
-    ``upos_index`` and ``ref_of``, so they are built up front in one
-    pass; the other indexes are built on first use.
+    are computed at most once. Every evaluation reads ``upos_index``
+    and ``ref_of``, so they are built up front in one pass over
+    ``refs``; the other indexes are built from ``refs`` on first use.
     """
 
     def __init__(self, doc: Document) -> None:

@@ -216,7 +216,8 @@ def _fam_repetition(params, pack):
     return universal.repetition_incidence(params["kind"])
 
 
-# family name -> (builder, default local, default scale_invariant)
+# family name -> (builder, local, scale_invariant): the builder and the two
+# descriptor flags that every metric of the family carries
 FAMILIES = {
     "pos_incidence": (_fam_pos, True, True),
     "feat_incidence": (_fam_feat, True, True),

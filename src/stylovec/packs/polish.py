@@ -8,7 +8,7 @@ variants built on the comparative particles jak/niczym.
 
 from __future__ import annotations
 
-from ..universal import sentence_incidence, sentence_refs, token_incidence
+from ..universal import sentence_incidence, sentence_refs
 
 _QUOTE_FORMS = frozenset({'"', "'", "„", "”", "«", "»", "‚", "’"})
 _COMPARATIVE_LEMMAS = frozenset({"jak", "niczym"})
@@ -56,11 +56,15 @@ def ovs(sent) -> tuple[int, ...]:
     return ()
 
 
-def is_inverted_epithet(tok, sent) -> bool:
-    """Adjectival modifier placed after its noun (experimental
-    heuristic); captures the post-posed adjective."""
-    return (tok.upos == "ADJ" and tok.deprel_base() == "amod"
-            and tok.head is not None and tok.head < tok.index)
+def inverted_epithets(sent) -> list[int]:
+    """Adjectival modifiers placed after their noun (experimental
+    heuristic); captures each post-posed adjective."""
+    found: list[int] = []
+    for t in sent.tokens:
+        if (t.upos == "ADJ" and t.deprel_base() == "amod"
+                and t.head is not None and t.head < t.index):
+            found.append(t.index)
+    return found
 
 
 def _simile(target_upos: tuple[str, ...]):
@@ -82,7 +86,7 @@ DETECTORS = {
     "nominal_sentence": lambda params, pack: sentence_incidence(is_nominal),
     "quoted_word": lambda params, pack: sentence_refs(quoted_words),
     "ovs": lambda params, pack: sentence_refs(ovs),
-    "inverted_epithet": lambda params, pack: token_incidence(is_inverted_epithet),
+    "inverted_epithet": lambda params, pack: sentence_refs(inverted_epithets),
     "simile_pl_noun": lambda params, pack: sentence_refs(_simile(("NOUN", "PROPN", "PRON"))),
     "simile_pl_adj": lambda params, pack: sentence_refs(_simile(("ADJ",))),
 }

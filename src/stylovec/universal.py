@@ -137,14 +137,6 @@ def clause(quantifier: str, test: TokenTest):
     return bind(test.matches)
 
 
-def token_incidence(pred):
-    """Capture every token for which ``pred(token, sentence)`` holds."""
-    def rule(ctx: DocContext):
-        sents = ctx.doc.sentences
-        return [(si, ti) for si, ti, tok in ctx.refs if pred(tok, sents[si])], None
-    return rule
-
-
 def key_incidence(index: str, test):
     """Capture every token filed in the document index ``index`` (e.g.
     ``"lemma_index"``) under a key passing ``test``; each key is tested once."""
@@ -364,22 +356,20 @@ def repetition_incidence(kind: str = "lemma_bigram"):
 def phrase_distance(upos: str):
     """Mean token gap between consecutive phrase heads of one UPOS,
     where a phrase head is a token of that UPOS whose own head is not.
-    Raw value is the mean gap (0 with fewer than two heads)."""
+    Raw value is the mean gap (0 with fewer than two heads); the gaps
+    telescope to the token distance from the first head to the last."""
     if upos not in ("NOUN", "VERB", "ADP", "ADJ", "ADV"):
         raise ValueError(f"unsupported phrase head {upos!r}")
     def rule(ctx: DocContext):
-        positions = []
+        sents = ctx.doc.sentences
         refs = []
-        for pos, (si, ti, tok) in enumerate(ctx.refs):
-            if tok.upos != upos:
-                continue
-            sent = ctx.doc.sentences[si]
-            if tok.head is not None and sent.tokens[tok.head].upos == upos:
-                continue
-            positions.append(pos)
-            refs.append((si, ti))
-        if len(positions) < 2:
+        for si, ti in ctx.upos_index.get(upos, ()):
+            tokens = sents[si].tokens
+            head = tokens[ti].head
+            if head is None or tokens[head].upos != upos:
+                refs.append((si, ti))
+        if len(refs) < 2:
             return refs, 0.0
-        gaps = [b - a for a, b in zip(positions, positions[1:])]
-        return refs, sum(gaps) / len(gaps)
+        (s0, t0), (s1, t1) = refs[0], refs[-1]
+        return refs, (sum(map(len, sents[s0:s1])) + t1 - t0) / (len(refs) - 1)
     return rule

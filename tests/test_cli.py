@@ -20,7 +20,7 @@ import pytest
 
 from stylovec import cli, runner
 from stylovec.cli import main
-from stylovec.conllu import ParseError
+from stylovec.conllu import ParseError, list_corpus_files
 from stylovec.output import OutputError
 from stylovec.packs import PackError
 from stylovec.runner import RunnerError, StrictAbort, WorkerDied
@@ -131,6 +131,17 @@ class TestAnalyzeCsv:
         assert len(pl_header) == 1 + 107
         assert [r[0] for r in en_rows] == ["a", "b"]
         assert [r[0] for r in pl_rows] == ["n"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rows_follow_doc_id_bytes_not_file_name_bytes(self, tmp_path, jobs):
+        # "-" sorts before ".", so the files come "a-b.conllu" first; doc id "a" sorts first
+        corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC, "a-b.conllu": EN_DOC_2})
+        assert [p.name for p in list_corpus_files(corpus)] == ["a-b.conllu", "a.conllu"]
+        result = runner.analyze_corpus(corpus, jobs=int(jobs))
+        assert [v.doc_id for v in result.vectors["en"]] == ["a", "a-b"]
+        out = tmp_path / "vectors.csv"
+        assert main(["analyze", "--input", str(corpus), "--out", str(out), "--jobs", jobs]) == 0
+        assert [r[0] for r in read_csv(out)[1]] == ["a", "a-b"]
 
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         corpus = write_corpus(

@@ -99,6 +99,20 @@ class TestParseBasics:
         payload = tline(1, "hi", "hi", "INTJ", 0, "root")
         assert parse_conllu(payload, doc_id="x").token_count == 1
 
+    @pytest.mark.parametrize("misc, entity, space_after", [
+        ("NER=PER", "PER", True),
+        ("SpaceAfter=No", None, False),
+        ("NER=PER|SpaceAfter=No", "PER", False),
+        ("_", None, True),
+    ])
+    def test_last_line_reads_the_same_with_any_ending(self, misc, entity, space_after):
+        line = tline(1, "Kyiv", "Kyiv", "PROPN", 0, "root", misc=misc)
+        for head in ("", BASIC.replace("\n", "\r\n") + "\r\n"):
+            read = [parse_conllu(head + line + ending, doc_id="x") for ending in ("", "\r", "\r\n")]
+            assert read[0] == read[1] == read[2]
+            last = read[0].sentences[-1].tokens[-1]
+            assert (last.entity, last.space_after) == (entity, space_after)
+
     def test_crlf_and_bom_accepted(self):
         payload = "﻿" + BASIC.replace("\n", "\r\n")
         d = parse_conllu(payload, doc_id="x")

@@ -29,9 +29,9 @@ from stylovec import conllu, lexicons, packs, universal
 from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
 from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS, ModelError, MultiwordRange, Sentence
-from stylovec.packs import english, registry_for
+from stylovec.packs import english, polish, registry_for
 from stylovec.synth import duplicate, random_document
-from stylovec.universal import token_incidence, token_pattern
+from stylovec.universal import token_pattern
 
 from conftest import doc as build_doc, sent, tok, word_sentence
 
@@ -250,6 +250,15 @@ WORD_CHARS = "".join(sorted(frozenset().union(*VOWELS.values()))) + \
 @settings(max_examples=500, deadline=None)
 def test_syllable_count_matches_the_character_loop(word, language):
     assert universal.syllable_count(word, language) == syllables_by_loop(word, language)
+
+
+def token_incidence(pred):
+    """Capture every token for which ``pred(token, sentence)`` holds: the
+    scan of every token that the indexed families replace."""
+    def rule(ctx: DocContext):
+        sents = ctx.doc.sentences
+        return [(si, ti) for si, ti, tok in ctx.refs if pred(tok, sents[si])], None
+    return rule
 
 
 def _scan_test(params, pack):
@@ -693,6 +702,104 @@ def test_irritation_matches_the_window_loop_on_fixture_documents():
 @settings(max_examples=200, deadline=None)
 def test_irritation_matches_the_window_loop(document, chunks):
     assert_irritation_matches_the_window_loop(with_words(document, [w for c in chunks for w in c]))
+
+
+PHRASE_HEADS = ("NOUN", "VERB", "ADP", "ADJ", "ADV")
+
+
+def phrase_distance_by_scan(upos):
+    """``universal.phrase_distance`` as its walk over every token of the
+    document, averaging the gaps between the positions of consecutive heads."""
+    def rule(ctx):
+        positions = []
+        refs = []
+        for pos, (si, ti, tok) in enumerate(ctx.refs):
+            if tok.upos != upos:
+                continue
+            sentence = ctx.doc.sentences[si]
+            if tok.head is not None and sentence.tokens[tok.head].upos == upos:
+                continue
+            positions.append(pos)
+            refs.append((si, ti))
+        if len(positions) < 2:
+            return refs, 0.0
+        gaps = [b - a for a, b in zip(positions, positions[1:])]
+        return refs, sum(gaps) / len(gaps)
+    return rule
+
+
+def is_inverted_epithet(tok, sentence) -> bool:
+    """``polish.inverted_epithets`` as the per-token test of its scan."""
+    return (tok.upos == "ADJ" and tok.deprel_base() == "amod"
+            and tok.head is not None and tok.head < tok.index)
+
+
+def assert_phrase_distance_and_epithets_match_the_scans(document):
+    """Every phrase head and SY_INV_EPITHET give the scans' refs and raw
+    value (equal and of the same type); returns the raw values by head."""
+    ctx = DocContext(document)
+    raws = {}
+    for upos in PHRASE_HEADS:
+        refs, raw = universal.phrase_distance(upos)(ctx)
+        old_refs, old_raw = phrase_distance_by_scan(upos)(ctx)
+        assert sorted(refs) == sorted(old_refs), upos
+        assert (raw, type(raw)) == (old_raw, type(old_raw)), upos
+        raws[upos] = raw
+    for sentence in document.sentences:
+        assert polish.inverted_epithets(sentence) == \
+            [t.index for t in sentence.tokens if is_inverted_epithet(t, sentence)]
+    refs, raw = registry_for("pl").get("SY_INV_EPITHET").rule(ctx)
+    assert (sorted(refs), raw) == (sorted(token_incidence(is_inverted_epithet)(ctx)[0]), None)
+    return raws
+
+
+def epithet_document():
+    """Post-posed epithets (one with a subtype), a pre-posed one, and a
+    post-posed amod that is not an adjective."""
+    return build_doc(
+        sent(tok(0, "dzień", upos="NOUN"),
+             tok(1, "piękny", upos="ADJ", head=0, deprel="amod"),
+             tok(2, "słoneczny", upos="ADJ", head=0, deprel="amod:flat")),
+        sent(tok(0, "piękny", upos="ADJ", head=1, deprel="amod"),
+             tok(1, "dzień", upos="NOUN"),
+             tok(2, "drugi", upos="NUM", head=1, deprel="amod")),
+        language="pl")
+
+
+def test_phrase_distance_and_epithets_match_the_scans_on_fixed_documents():
+    for document in FIXTURE_DOCS + [epithet_document()]:
+        assert_phrase_distance_and_epithets_match_the_scans(document)
+    ctx = DocContext(epithet_document())
+    assert registry_for("pl").get("SY_INV_EPITHET").rule(ctx)[0] == [(0, 1), (0, 2)]
+
+
+def test_phrase_distance_crosses_sentences():
+    # noun heads at (0, 1) and (2, 2): the gap is the lengths of
+    # sentences 0 and 1 (3 + 3) plus 2 - 1
+    document = build_doc(
+        sent(tok(0, "so", upos="ADV", head=1, deprel="advmod"), tok(1, "cats", upos="NOUN"),
+             tok(2, "sleep", upos="VERB", head=1, deprel="acl")),
+        word_sentence("run", "walk", "sit", upos="VERB"),
+        sent(tok(0, "a", upos="DET", head=2, deprel="det"),
+             tok(1, "big", upos="ADJ", head=2, deprel="amod"), tok(2, "dog", upos="NOUN")))
+    assert assert_phrase_distance_and_epithets_match_the_scans(document)["NOUN"] == 7.0
+    assert universal.phrase_distance("NOUN")(DocContext(document))[0] == [(0, 1), (2, 2)]
+
+
+def test_phrase_distance_of_one_head_is_zero():
+    # the nested noun's head is a noun, so "cats" is the only noun head
+    document = build_doc(sent(tok(0, "cats", upos="NOUN"),
+                              tok(1, "dogs", upos="NOUN", head=0, deprel="conj")))
+    raws = assert_phrase_distance_and_epithets_match_the_scans(document)
+    assert universal.phrase_distance("NOUN")(DocContext(document)) == ([(0, 0)], 0.0)
+    assert raws == dict.fromkeys(PHRASE_HEADS, 0.0)
+
+
+@given(seed=seeds, language=languages)
+@settings(max_examples=60, deadline=None)
+def test_phrase_distance_and_epithets_match_the_scans(seed, language):
+    raws = assert_phrase_distance_and_epithets_match_the_scans(make_doc(seed, language))
+    event(f"heads with a mean gap: {sum(raw > 0 for raw in raws.values())}")
 
 
 MAX_EDITS = 3

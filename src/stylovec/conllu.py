@@ -5,8 +5,10 @@ Parses the 10-column tab-separated format: integer-id token lines,
 breaks. Every token line must be fully annotated (lemma, UPOS, head,
 deprel), no column may be empty, and ids are decimals without leading
 zeros; decimal-id empty nodes are rejected. MISC is scanned for
-``SpaceAfter=No`` and ``NER=<label>``. The writer refuses a value that
-the reader would reject or read back differently.
+``SpaceAfter=No`` and ``NER=<label>``. A blank line is empty, and no
+line ends in a carriage return once its line ending is removed. The
+writer reads its own text back and refuses a document that the reader
+rejects or reads back differently.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ log = logging.getLogger("stylovec")
 
 
 class ParseError(ValueError):
-    """Malformed CoNLL-U input; ``line`` is 1-based, 0 for whole-payload errors."""
+    """Malformed CoNLL-U input; ``line`` is 1-based, 0 for whole-payload errors;
+    ``column`` names the UD column whose value alone is at fault, or is None."""
 
-    def __init__(self, message: str, line: int = 0):
+    def __init__(self, message: str, line: int = 0, column: str | None = None):
         self.line = line
+        self.column = column
         super().__init__(f"line {line}: {message}" if line else message)
 
 
@@ -47,9 +51,9 @@ def _parse_feats(raw: str, line: int) -> dict[str, str]:
     for item in raw.split("|"):
         key, sep, value = item.partition("=")
         if not sep or not key or not value:
-            raise ParseError(f"malformed feature {item!r}", line)
+            raise ParseError(f"malformed feature {item!r}", line, "FEATS")
         if key in feats:
-            raise ParseError(f"duplicate feature key {key!r}", line)
+            raise ParseError(f"duplicate feature key {key!r}", line, "FEATS")
         feats[key] = value
     return feats
 
@@ -78,17 +82,17 @@ def _build_sentence(rows: list[tuple[int, list[str]]],
         if int(tid) != pos + 1:
             raise ParseError(f"token id {tid} out of sequence, expected {pos + 1}", line)
         if upos not in UPOS_TAGS:
-            raise ParseError(f"invalid UPOS tag {upos!r}", line)
+            raise ParseError(f"invalid UPOS tag {upos!r}", line, "UPOS")
         feats = _parse_feats(feats, line)
         if head == "_":
-            raise ParseError("missing HEAD", line)
+            raise ParseError("missing HEAD", line, "HEAD")
         if not (head.isascii() and head.isdigit()) or head[0] == "0" and head != "0":
-            raise ParseError(f"invalid HEAD {head!r}", line)
+            raise ParseError(f"invalid HEAD {head!r}", line, "HEAD")
         head_id = int(head)
         if head_id > n:
             raise ParseError(f"HEAD {head_id} out of range for {n}-token sentence", line)
         if deprel == "_":
-            raise ParseError("missing DEPREL", line)
+            raise ParseError("missing DEPREL", line, "DEPREL")
         entity, space_after = _parse_misc(misc)
         tokens.append(Token(pos, form, form if lemma == "_" else lemma, upos,
                             None if xpos == "_" else xpos, feats,
@@ -122,6 +126,11 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
     if payload.startswith("﻿"):
         payload = payload[1:]
     payload = payload.replace("\r\n", "\n").removesuffix("\r")
+    stray = (payload + "\n").find("\r\n")  # a carriage return left at the end of a line
+    if stray >= 0:
+        start = payload.rfind("\n", 0, stray) + 1
+        raise ParseError("carriage return at the end of the line", payload.count("\n", 0, start) + 1,
+                         None if payload.startswith("#", start) else "MISC")
     sentences: list[Sentence] = []
     rows: list[tuple[int, list[str]]] = []
     ranges: list[tuple[int, int, int, str, str]] = []
@@ -137,7 +146,7 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
         ranges = []
 
     for lineno, line in enumerate(payload.split("\n"), start=1):
-        if not line.strip():
+        if not line:
             flush()
             continue
         if line.startswith("#"):
@@ -150,7 +159,8 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
         if len(cols) != len(_COLUMNS):
             raise ParseError(f"expected {len(_COLUMNS)} tab-separated columns, got {len(cols)}", lineno)
         if "" in cols:
-            raise ParseError(f"empty {_COLUMNS[cols.index('')]} column", lineno)
+            empty = _COLUMNS[cols.index("")]
+            raise ParseError(f"empty {empty} column", lineno, empty)
         tid = cols[0]
         # ASCII digits without a leading zero: str(int(tid)) == tid
         if tid.isascii() and tid.isdigit() and tid[0] != "0":
@@ -158,12 +168,12 @@ def parse_conllu(payload: str, doc_id: str, language: str | None = None) -> Docu
         elif "-" in tid:
             match = _RANGE_ID.fullmatch(tid)
             if match is None:
-                raise ParseError(f"invalid token range id {tid!r}", lineno)
+                raise ParseError(f"invalid token range id {tid!r}", lineno, "ID")
             ranges.append((lineno, int(match[1]), int(match[2]), cols[1], cols[9]))
         elif "." in tid:
             raise ParseError(f"empty nodes are not supported (id {tid!r})", lineno)
         else:
-            raise ParseError(f"invalid token id {tid!r}", lineno)
+            raise ParseError(f"invalid token id {tid!r}", lineno, "ID")
     flush()
     if not sentences:
         raise ParseError("empty document: no token lines found")
@@ -190,40 +200,15 @@ def _feats_column(feats: dict[str, str]) -> str:
     return "|".join(f"{k}={v}" for k, v in sorted(feats.items()))
 
 
-def _unreadable(cols: list[str], tok: Token | None) -> tuple[str, str] | None:
-    """``(column, reason)`` for the first column of a line that
-    :func:`parse_conllu` would reject or read back differently, None when
-    the line reads back as written. ``tok`` is the token a token line
-    holds, None for a range line."""
-    for name, value in zip(_COLUMNS, cols):
-        if not value:
-            return name, "empty value"
-        if "\t" in value or "\n" in value:
-            return name, f"tab or newline in {value!r}"
-    # the reader folds the "\r\n" line ending to "\n" and drops a final "\r"
-    if cols[-1].endswith("\r"):
-        return "MISC", f"{cols[-1]!r} ends in a carriage return"
-    if tok is None:
-        return None
-    if tok.lemma == "_" and tok.form != "_":
-        return "LEMMA", "'_' reads back as the form"
-    if tok.upos not in UPOS_TAGS:
-        return "UPOS", f"invalid UPOS tag {tok.upos!r}"
-    if tok.xpos in ("", "_"):
-        return "XPOS", f"{tok.xpos!r} reads back as no XPOS"
-    for key, value in tok.feats.items():
-        if not key or not value or "=" in key or "|" in key + value:
-            return "FEATS", f"feature {key!r}={value!r} does not read back"
-    if tok.deprel == "_":
-        return "DEPREL", "'_' reads back as a missing DEPREL"
-    if tok.entity is not None and (not tok.entity or "|" in tok.entity):
-        return "MISC", f"NER label {tok.entity!r} does not read back"
-    return None
+_FIELD_COLUMNS = {"form": "FORM", "lemma": "LEMMA", "upos": "UPOS", "xpos": "XPOS",
+                  "feats": "FEATS", "head": "HEAD", "deprel": "DEPREL", "deps": "DEPS",
+                  "entity": "MISC", "space_after": "MISC"}
 
 
 def to_conllu(doc: Document) -> str:
     """Serialize a document to CoNLL-U text that :func:`parse_conllu` reads
-    back as ``doc``; a value it would reject or read back differently is a
+    back as ``doc``. The text is read back before it is returned: a value
+    that the reader rejects or reads back differently is a
     :class:`ModelError` naming the sentence, the token and the column."""
     if not doc.sentences:
         raise ModelError("document has no sentences")
@@ -231,12 +216,15 @@ def to_conllu(doc: Document) -> str:
     if lang is not None and (not lang or lang != lang.strip() or "\n" in lang):
         raise ModelError(f"language {lang!r} does not read back from a comment")
     out: list[str] = []
+    places: dict[int, str] = {}  # line number -> the token or range it writes
 
-    def emit(where: str, cols: list[str], tok: Token | None = None) -> None:
-        problem = _unreadable(cols, tok)
-        if problem is not None:
-            raise ModelError(f"{where}, column {problem[0]}: {problem[1]}")
+    def emit(place: str, cols: list[str]) -> None:
+        # a tab or a newline moves the rest of the line; the reader cannot tell whose it was
+        for name, value in zip(_COLUMNS, cols):
+            if "\t" in value or "\n" in value:
+                raise ModelError(f"{place}, column {name}: tab or newline in {value!r}")
         out.append("\t".join(cols))
+        places[len(out)] = place
 
     if lang:
         out.append(f"# language = {lang}")
@@ -261,9 +249,22 @@ def to_conllu(doc: Document) -> str:
                 tok.deprel,
                 tok.deps,
                 _misc_column(tok.entity, tok.space_after),
-            ], tok)
+            ])
         out.append("")
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    try:
+        back = parse_conllu(text, doc.doc_id)
+    except ParseError as exc:
+        reason = str(exc).removeprefix(f"line {exc.line}: ")
+        raise ModelError(f"{places[exc.line]}, column {exc.column}: {reason}") from None
+    if back != doc:
+        for (si, ti, tok), (_, _, again) in zip(doc.refs(), back.refs()):
+            for name, column in _FIELD_COLUMNS.items():
+                value, read = getattr(tok, name), getattr(again, name)
+                if value != read:
+                    raise ModelError(f"sentence {si + 1}, token {ti + 1}, column {column}: "
+                                     f"{value!r} reads back as {read!r}")
+    return text
 
 
 def list_corpus_files(path: str | Path) -> list[Path]:

@@ -208,6 +208,17 @@ MALFORMED = [
                  "token 1 is its own head", 2, id="tree-own-head"),
     pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 3, "dep"), tline(3, "c", "c", "NOUN", 2, "dep")]),
                  "head relation is not a connected tree", 1, id="tree-detached-cycle"),
+    pytest.param(tline(1, "a", "a", "NOUN", 0, "root", misc="NER=PER") + "\r\r\n",
+                 "carriage return at the end of the line", 1, id="token-line-cr-crlf"),
+    pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 1, "dep", misc="NER=PER")]) + "\r\r",
+                 "carriage return at the end of the line", 2, id="token-line-cr-cr-at-end"),
+    pytest.param("\r\n".join(["\t".join(["1-2", "ab", "_", "_", "_", "_", "_", "_", "_", "SpaceAfter=No\r"]),
+                              ROOT, tline(2, "b", "b", "NOUN", 1, "dep")]),
+                 "carriage return at the end of the line", 1, id="range-line-cr-crlf"),
+    pytest.param("\n".join([ROOT, " ", tline(1, "b", "b", "NOUN", 0, "root")]),
+                 "expected 10 tab-separated columns, got 1", 2, id="space-line"),
+    pytest.param("\n".join([ROOT, "\t", tline(1, "b", "b", "NOUN", 0, "root")]),
+                 "expected 10 tab-separated columns, got 2", 2, id="tab-line"),
 ]
 
 
@@ -304,6 +315,32 @@ class TestParseErrors:
         raises_at("", "empty document: no token lines found", 0)
         raises_at("# language = en\n\n", "empty document: no token lines found", 0)
 
+    @pytest.mark.parametrize("payload, column", [
+        pytest.param(tline(1, "a", "", "NOUN", 0, "root"), "LEMMA", id="empty-column"),
+        pytest.param(tline(1, "a", "a", "noun", 0, "root"), "UPOS", id="invalid-upos"),
+        pytest.param(tline(1, "a", "a", "NOUN", 0, "root", feats="N"), "FEATS", id="malformed-feature"),
+        pytest.param(tline(1, "a", "a", "NOUN", 0, "root", feats="N=1|N=2"), "FEATS",
+                     id="duplicate-feature-key"),
+        pytest.param(tline(1, "a", "a", "NOUN", "_", "root"), "HEAD", id="missing-head"),
+        pytest.param(tline(1, "a", "a", "NOUN", "01", "root"), "HEAD", id="invalid-head"),
+        pytest.param(tline(1, "a", "a", "NOUN", 0, "_"), "DEPREL", id="missing-deprel"),
+        pytest.param(tline("x", "a", "a", "NOUN", 0, "root"), "ID", id="invalid-token-id"),
+        pytest.param("\t".join(["0-1", "ab", *"________"]), "ID", id="invalid-range-id"),
+        pytest.param(ROOT + "\r\r\n", "MISC", id="carriage-return"),
+        pytest.param("# c\r\r\n" + ROOT, None, id="carriage-return-in-comment"),
+        pytest.param("\t".join(["1", "a", "a", "NOUN", "_", "_", "0", "root", "_"]), None,
+                     id="column-count"),
+        pytest.param(tline(2, "a", "a", "NOUN", 0, "root"), None, id="id-out-of-sequence"),
+        pytest.param(tline(1, "a", "a", "NOUN", 2, "dep"), None, id="head-out-of-range"),
+        pytest.param(tline("1.1", "a", "a", "NOUN", 0, "root"), None, id="empty-node"),
+        pytest.param("\n".join([ROOT, tline(2, "b", "b", "NOUN", 0, "root")]), None, id="two-roots"),
+        pytest.param("# c\n", None, id="empty-document"),
+    ])
+    def test_column_names_the_value_at_fault(self, payload, column):
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(payload, doc_id="x")
+        assert exc.value.column == column
+
     def test_error_line_numbers_are_exact(self):
         payload = "\n".join([
             "# a comment",
@@ -373,6 +410,18 @@ class TestWriteRefusals:
         d = Document("r", "en", (Sentence(tokens, (MultiwordRange(0, 1, "do\tnt"),)),))
         with pytest.raises(ModelError, match=r"^sentence 1, range 1-2, column FORM: "):
             to_conllu(d)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"lemma": "_"}, "column LEMMA: '_' reads back as 'x'"),
+        ({"xpos": ""}, "column XPOS: '' reads back as None"),
+        ({"feats": {"A": ""}}, "column FEATS: malformed feature 'A='"),
+        ({"entity": "PER\r\r"}, "column MISC: carriage return at the end of the line"),
+        ({"form": "a\tb", "lemma": "_"}, "column FORM: tab or newline in 'a\\tb'"),
+    ])
+    def test_refusal_message_gives_the_reason(self, fields, message):
+        with pytest.raises(ModelError) as exc:
+            to_conllu(self.one(**fields))
+        assert str(exc.value) == f"sentence 1, token 2, {message}"
 
     @pytest.mark.parametrize("language", ["", " en", "en\n", "e\nn"])
     def test_unreadable_language_is_refused(self, language):

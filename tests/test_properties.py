@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -896,6 +898,20 @@ def with_values(document, edits):
     return document
 
 
+def written_value(document, place: str, column: str) -> str:
+    """The text a ``sentence s, token t`` or ``sentence s, range a-b`` place
+    writes into ``column``, as far as the tab-or-newline check reads it."""
+    si, kind, where = re.fullmatch(r"sentence (\d+), (token|range) ([\d-]+)", place).groups()
+    sentence = document.sentences[int(si) - 1]
+    if kind == "range":
+        assert column == "FORM"
+        return next(r.form for r in sentence.ranges if f"{r.start + 1}-{r.end + 1}" == where)
+    t = sentence.tokens[int(where) - 1]
+    return {"FORM": t.form, "LEMMA": t.lemma, "UPOS": t.upos, "XPOS": t.xpos or "",
+            "FEATS": "".join(k + v for k, v in t.feats.items()), "DEPREL": t.deprel,
+            "DEPS": t.deps, "MISC": t.entity or ""}[column]
+
+
 @given(seed=seeds, edits=value_edits)
 @settings(max_examples=500, deadline=None)
 def test_written_text_reads_back_or_the_writer_refuses(seed, edits):
@@ -906,19 +922,42 @@ def test_written_text_reads_back_or_the_writer_refuses(seed, edits):
     try:
         text = to_conllu(document)
     except ModelError as exc:
-        with mock.patch.object(conllu, "_unreadable", lambda cols, tok: None):
+        if str(exc).startswith("language "):
+            return
+        place, column = re.match(r"(sentence \d+, (?:token \d+|range \d+-\d+)), column ([A-Z]+): ",
+                                 str(exc)).groups()
+        # written without the read-back, only a tab or a newline is refused
+        with mock.patch.object(conllu, "parse_conllu", lambda payload, doc_id: document):
             try:
                 text = to_conllu(document)
-            except ModelError:  # the document's language was refused
+            except ModelError as unchecked:
+                assert str(unchecked) == str(exc)
+                value = written_value(document, place, column)
+                assert "\t" in value or "\n" in value, (str(exc), value)
+                event("refused: tab or newline")
                 return
-        # a refused line names its place, and would not read back: written
-        # unchecked, the text is rejected or reads back as another document
-        assert re.match(r"sentence \d+, (token \d+|range \d+-\d+), column [A-Z]+: ", str(exc))
+        # the refused text is rejected by the reader or reads back as another document
         try:
             assert parse_conllu(text, doc_id=document.doc_id) != document
         except ParseError:
             pass
-        event("refused")
+        event("refused on read-back")
         return
     event("round trip")
     assert parse_conllu(text, doc_id=document.doc_id) == document
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    """Under the repository's pytest settings a failing ``@given`` test ends
+    in an ordinary failure report that shows its example."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n")
+    config = Path(__file__).parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(config),
+                          "test_fails.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert run.returncode == 1

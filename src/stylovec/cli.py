@@ -21,6 +21,14 @@ from .packs import PackError, registry_for, split_values
 from .runner import RunnerError, StrictAbort, WorkerDied, analyze_corpus
 
 
+def _names(value: str) -> tuple[str, ...]:
+    """A filter option's names; a list without any is a usage error, not "no filter"."""
+    names = split_values(value)
+    if not names:
+        raise argparse.ArgumentTypeError(f"no names in {value!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stylovec",
@@ -34,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="language pack; omit only when every file carries a language comment")
     run.add_argument("--out", required=True, help="vectors output file")
     run.add_argument("--debug-out", help="directory for per-document debug capture CSVs")
-    run.add_argument("--categories", type=split_values, default=None,
+    run.add_argument("--categories", type=_names, default=None,
                      help="comma-separated category filter")
-    run.add_argument("--metrics", type=split_values, default=None,
+    run.add_argument("--metrics", type=_names, default=None,
                      help="comma-separated metric id filter")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--jobs", type=int, default=1,
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list-metrics", help="print the metric catalogue for a language")
     ls.add_argument("--lang", required=True, choices=LANGUAGES)
-    ls.add_argument("--categories", type=split_values, default=None)
+    ls.add_argument("--categories", type=_names, default=None)
     ls.add_argument("--format", choices=("text", "json"), default="text")
     ls.set_defaults(func=_cmd_list_metrics)
     return parser

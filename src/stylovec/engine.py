@@ -27,17 +27,6 @@ TokenRef = tuple[int, int]
 METRIC_ID_RE = re.compile(r"^[A-Z0-9_]+$")
 
 
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe normalized ratio: 0 for an empty denominator, clamped to 1.0."""
-    if denominator == 0:
-        return 0.0
-    value = numerator / denominator
-    if value > 1.0:
-        log.warning("ratio %s/%s exceeds 1, clamping", numerator, denominator)
-        return 1.0
-    return value
-
-
 class DocContext:
     """Per-document evaluation context with shared indexes.
 
@@ -150,7 +139,8 @@ class MetricResult:
 
 
 def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
-    """Run one rule: (value, raw_count, captured, error, degenerate). Refs always
+    """Run one rule: (value, raw_count, captured, error, degenerate). The value is the
+    raw count over the token count, clamped to 1; no other code normalizes. Refs always
     become a set and are checked, so a failing ref generator or a ref that is not
     the ``(sentence, token)`` pair of a token of the document is an error whether
     or not ``captures`` asks to keep the refs; kept refs are the document's own."""
@@ -174,7 +164,11 @@ def _evaluate(metric: Metric, ctx: DocContext, captures: bool) -> tuple:
     total = ctx.doc.token_count
     if total == 0:
         return 0.0, float(raw), captured, None, True
-    return ratio(raw, total), float(raw), captured, None, False
+    value = raw / total
+    if value > 1.0:
+        log.warning("ratio %s/%s exceeds 1, clamping", raw, total)
+        value = 1.0
+    return value, float(raw), captured, None, False
 
 
 def evaluate_metric(metric: Metric, ctx: DocContext) -> MetricResult:

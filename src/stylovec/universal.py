@@ -188,7 +188,7 @@ def pos_incidence(upos: str):
     if upos not in UPOS_TAGS:
         raise ValueError(f"unknown UPOS {upos!r}")
     def rule(ctx: DocContext):
-        return list(ctx.upos_index.get(upos, ())), None
+        return ctx.upos_index.get(upos, ()), None
     return rule
 
 
@@ -218,8 +218,7 @@ def type_token_ratio(layer: str = "form"):
     metric by total token count. Captures the first token of each type."""
     _check_layer(layer)
     def rule(ctx: DocContext):
-        table = _types(ctx, layer)
-        return [refs[0] for refs in table.values()], float(len(table))
+        return [refs[0] for refs in _types(ctx, layer).values()], None
     return rule
 
 
@@ -231,8 +230,6 @@ def top_frequency_incidence(fraction: float, layer: str = "form"):
     _check_layer(layer)
     def rule(ctx: DocContext):
         table = _types(ctx, layer)
-        if not table:
-            return [], 0.0
         k = math.ceil(fraction * len(table))
         ranked = sorted(table, key=lambda u: (-len(table[u]), u))
         return [ref for unit in ranked[:k] for ref in table[unit]], None

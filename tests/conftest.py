@@ -3,16 +3,24 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
-from stylovec.conllu import parse_conllu
+from stylovec.conllu import read_document
 from stylovec.model import Document, Sentence, Token
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# One Hypothesis profile for every property test. No deadline: example times
+# vary with the load of the machine. No explain phase: for a test that raises,
+# it has pytest format the traceback of every shrink candidate, which can stall
+# the session for minutes before the falsifying example is reported.
+settings.register_profile("stylovec", deadline=None,
+                          phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("stylovec")
+
 
 def load_fixture(relpath: str) -> Document:
-    path = FIXTURES / relpath
-    return parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+    return read_document(FIXTURES / relpath)
 
 
 def tok(index: int, form: str, lemma: str | None = None, upos: str = "NOUN",

@@ -25,7 +25,7 @@ import pytest
 
 from stylovec.analysis import nearest_centroid_loo, to_matrix
 from stylovec.cli import main as cli_main
-from stylovec.conllu import parse_conllu, to_conllu
+from stylovec.conllu import read_document, to_conllu
 from stylovec.engine import evaluate_all
 from stylovec.model import Document, Sentence, Token
 from stylovec.packs import registry_for
@@ -77,8 +77,7 @@ def criterion(num: str, label: str):
 
 
 def load(relpath: str) -> Document:
-    path = FIXTURES / relpath
-    return parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+    return read_document(FIXTURES / relpath)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -213,8 +212,7 @@ def _all_fixture_documents() -> list[Document]:
     documents = []
     for sub in ("pl_neg", "en_verbs", "eastslavic", "golden/corpus"):
         for path in sorted((FIXTURES / sub).glob("*.conllu")):
-            documents.append(
-                parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem))
+            documents.append(read_document(path))
     return documents
 
 
@@ -396,8 +394,7 @@ def test_criterion_6_verb_group_suite():
         assert len(paths) == 40
 
         for path in paths:
-            document = parse_conllu(path.read_text(encoding="utf-8"),
-                                    doc_id=path.stem)
+            document = read_document(path)
             res = {r.metric_id: r for r in evaluate_all(registry, document).results}
             detailed_sum = sum(res[mid].raw_count for mid in detailed_ids)
             tense_sum = sum(res[mid].raw_count

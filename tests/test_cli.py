@@ -221,6 +221,16 @@ class TestAnalyzeFailures:
         assert code == 2
         assert "NO_SUCH_METRIC" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--metrics", ""), ("--categories", " , ")])
+    def test_filter_without_names_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC})
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", str(corpus), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: no names in {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_filter_without_lang_is_a_usage_error(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c", {"a.conllu": EN_DOC, "b.conllu": PL_DOC})
         out = tmp_path / "o.csv"
@@ -432,6 +442,15 @@ class TestListMetrics:
     def test_unknown_category_is_a_usage_error(self, capsys):
         assert main(["list-metrics", "--lang", "en", "--categories", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_category_filter_without_names_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["list-metrics", "--lang", "en", "--categories", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --categories: no names in {value!r}" in captured.err
 
 
 class TestGoldenCorpus:

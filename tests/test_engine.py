@@ -13,7 +13,6 @@ from stylovec.engine import (
     StyloVector,
     evaluate_all,
     evaluate_metric,
-    ratio,
     schema_hash,
 )
 from stylovec.model import Document
@@ -28,20 +27,29 @@ def make_metric(mid, rule, **desc_kwargs):
 
 
 class TestRatio:
+    """``_evaluate`` divides the raw count by the token count and clamps at 1."""
+
+    @staticmethod
+    def result(raw, tokens):
+        d = doc(word_sentence(*"abcdefgh"[:tokens])) if tokens else \
+            Document(doc_id="empty", language="en", sentences=())
+        return evaluate_metric(make_metric("M", lambda ctx: ([], raw)), DocContext(d))
+
     def test_plain_division(self):
-        assert ratio(1, 4) == 0.25
+        assert self.result(1, 4).value == 0.25
 
     def test_zero_denominator_is_zero(self):
-        assert ratio(5, 0) == 0.0
+        res = self.result(5, 0)
+        assert res.value == 0.0 and res.degenerate and res.error is None
 
     def test_clamp_and_warn_above_one(self, caplog):
         with caplog.at_level(logging.WARNING, logger="stylovec"):
-            assert ratio(7, 2) == 1.0
+            assert self.result(7, 2).value == 1.0
         assert any("clamping" in r.message for r in caplog.records)
 
     def test_exact_one_not_warned(self, caplog):
         with caplog.at_level(logging.WARNING, logger="stylovec"):
-            assert ratio(3, 3) == 1.0
+            assert self.result(3, 3).value == 1.0
         assert not caplog.records
 
 

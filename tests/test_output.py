@@ -255,7 +255,7 @@ class TestWritersMatchOracles:
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            language=st.sampled_from(("en", "pl", "uk", "ru")))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_synth_documents(self, seed, language):
         rng = random.Random(seed)
         documents = [random_document(rng, f"s{seed}_{i}", language, rng.randint(1, 120))

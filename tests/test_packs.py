@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from stylovec import packs, universal
-from stylovec.conllu import parse_conllu
-from stylovec.engine import evaluate_all
+from stylovec.conllu import read_document
+from stylovec.engine import DocContext, evaluate_all
 from stylovec.lexicons import AffectiveNorms, Lexicon
 from stylovec.output import write_debug_csv
 from stylovec.packs import PackError, PackResources, registry_for
@@ -220,16 +220,22 @@ def test_every_family_and_detector_is_used_by_a_stock_manifest():
 @pytest.mark.parametrize("language", packs.PACK_FILES)
 def test_only_phrase_distance_counts_differ_from_their_captures(language):
     """The README contract: a stock metric's raw count is its number of captured
-    tokens, except for the non-local metrics, which are exactly the PD_* ones."""
+    tokens, except for the non-local metrics, which are exactly the PD_* ones.
+    Every local rule, on every fixture of any language, leaves that count to the
+    engine by returning ``None``."""
     registry = registry_for(language)
     non_local = [m.id for m in registry if not m.descriptor.local]
     assert non_local and non_local == [i for i in registry.ids() if i.startswith("PD_")]
     for path in sorted((TESTS / "fixtures").rglob("*.conllu")):
-        document = parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+        document = read_document(path)
         if document.language == language:
             for result in evaluate_all(registry, document).results:
                 assert result.metric_id in non_local or \
                     result.raw_count == len(result.captured), (path.name, result.metric_id)
+        ctx = DocContext(document)
+        for metric in registry:
+            if metric.id not in non_local:
+                assert metric.rule(ctx)[1] is None, (path.name, metric.id)
 
 
 def _captures_csv(metric_ids=lambda language: None) -> str:
@@ -237,7 +243,7 @@ def _captures_csv(metric_ids=lambda language: None) -> str:
     them by default) over the fixture documents, under one header."""
     lines = []
     for path in sorted((TESTS / "fixtures").rglob("*.conllu")):
-        document = parse_conllu(path.read_text(encoding="utf-8"), doc_id=path.stem)
+        document = read_document(path)
         registry = registry_for(document.language, metric_ids=metric_ids(document.language))
         buf = io.StringIO()
         write_debug_csv(evaluate_all(registry, document), document, buf)

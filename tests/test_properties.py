@@ -76,7 +76,7 @@ def make_doc(seed: int, language: str, max_tokens: int = 150):
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_values_are_exact_clamped_ratios(seed, language):
     doc = make_doc(seed, language)
     vector = evaluate_all(registry_for(language), doc)
@@ -89,7 +89,7 @@ def test_values_are_exact_clamped_ratios(seed, language):
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_captures_are_sorted_unique_valid_refs(seed, language):
     doc = make_doc(seed, language)
     registry = registry_for(language)
@@ -106,7 +106,7 @@ def test_captures_are_sorted_unique_valid_refs(seed, language):
 
 
 @given(seed=seeds, language=languages, k=st.sampled_from((2, 3)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_duplication_leaves_scale_invariant_metrics_fixed(seed, language, k):
     doc = make_doc(seed, language, max_tokens=100)
     registry = registry_for(language)
@@ -120,7 +120,7 @@ def test_duplication_leaves_scale_invariant_metrics_fixed(seed, language, k):
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_pos_and_word_class_partitions_sum_to_one(seed, language):
     doc = make_doc(seed, language)
     vector = evaluate_all(registry_for(language), doc)
@@ -133,7 +133,7 @@ def test_pos_and_word_class_partitions_sum_to_one(seed, language):
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_evaluation_is_deterministic(seed, language):
     doc = make_doc(seed, language)
     registry = registry_for(language)
@@ -146,7 +146,7 @@ def test_evaluation_is_deterministic(seed, language):
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_serialization_round_trip_preserves_every_field(seed, language):
     doc = make_doc(seed, language)
     assert parse_conllu(to_conllu(doc), doc_id=doc.doc_id) == doc
@@ -200,7 +200,7 @@ def test_fixture_vectors_without_captures_are_unchanged():
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_vectors_without_captures_are_unchanged(seed, language):
     assert_captures_change_nothing(make_doc(seed, language))
 
@@ -249,7 +249,7 @@ WORD_CHARS = "".join(sorted(frozenset().union(*VOWELS.values()))) + \
 
 
 @given(word=st.text(alphabet=WORD_CHARS, max_size=12), language=languages)
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_syllable_count_matches_the_character_loop(word, language):
     assert universal.syllable_count(word, language) == syllables_by_loop(word, language)
 
@@ -415,7 +415,7 @@ def test_capitalized_reads_the_case_preserving_surface_index():
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_indexed_families_match_scans(seed, language):
     assert_indexed_families_match_scans(make_doc(seed, language))
 
@@ -424,7 +424,7 @@ LAZY_TABLES = ("lemma_index", "form_index", "surface_index", "word_index", "non_
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_context_tables_match_a_scan_and_build_nothing_unread(seed, language):
     doc = make_doc(seed, language)
     ctx = DocContext(doc)
@@ -496,7 +496,7 @@ def test_verb_group_metrics_read_the_groups_on_fixture_documents():
 
 
 @given(seed=seeds)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_verb_group_metrics_read_the_groups(seed):
     verb_group_firing(make_doc(seed, "en"))
 
@@ -583,7 +583,7 @@ phrase_sets = st.builds(
 @given(phrases=phrase_sets,
        sentences=st.lists(st.lists(st.sampled_from(PHRASE_FORMS), min_size=1, max_size=9),
                           min_size=1, max_size=3))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_phrase_lexicons_match_the_loop(phrases, sentences):
     lexicon = lexicons.Lexicon("phrases", "phrase", phrases)
     ctx = DocContext(build_doc(*(word_sentence(*forms) for forms in sentences)))
@@ -642,7 +642,7 @@ def test_clauses_match_the_chain_on_fixed_documents():
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_clauses_match_the_chain(seed, language):
     clause_outcomes(make_doc(seed, language))
 
@@ -701,7 +701,7 @@ def test_irritation_matches_the_window_loop_on_fixture_documents():
 
 @given(document=st.sampled_from(ENGLISH_FIXTURES),
        chunks=st.lists(st.sampled_from(IRRITATION_CHUNKS), max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_irritation_matches_the_window_loop(document, chunks):
     assert_irritation_matches_the_window_loop(with_words(document, [w for c in chunks for w in c]))
 
@@ -798,7 +798,7 @@ def test_phrase_distance_of_one_head_is_zero():
 
 
 @given(seed=seeds, language=languages)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_phrase_distance_and_epithets_match_the_scans(seed, language):
     raws = assert_phrase_distance_and_epithets_match_the_scans(make_doc(seed, language))
     event(f"heads with a mean gap: {sum(raw > 0 for raw in raws.values())}")
@@ -854,7 +854,7 @@ def mutate(text: str, changes) -> str:
 
 
 @given(source=st.sampled_from(MUTATION_SOURCES), edits=edits)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_mutated_text_is_rejected_with_a_line_or_round_trips(source, edits):
     text = mutate(source, edits)
     try:
@@ -913,7 +913,7 @@ def written_value(document, place: str, column: str) -> str:
 
 
 @given(seed=seeds, edits=value_edits)
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 def test_written_text_reads_back_or_the_writer_refuses(seed, edits):
     try:
         document = with_values(make_doc(seed, "en", max_tokens=12), edits)

@@ -9,7 +9,10 @@ first, greedy left-to-right, non-overlapping).
 
 Norms files are tab-separated: a ``lemma`` column plus one column per
 scored dimension, the header cell carrying ``name:mean``; metrics count
-lemmas scoring strictly above (or at most) the declared mean.
+lemmas scoring strictly above (or at most) the declared mean. As in a
+lexicon file, a line that is blank or whose stripped text starts with
+``#`` is skipped, and each cell is stripped (the line is not, so a
+trailing tab is still an extra column).
 Weights, means and scores must be finite numbers.
 """
 
@@ -184,11 +187,12 @@ def load_norms(path: str | Path) -> AffectiveNorms:
     """Parse a norms table; the header declares each dimension with its
     mean as ``name:mean``."""
     path = Path(path)
-    lines = [(n, ln) for n, ln in enumerate(read_text(path).splitlines(), start=1)
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    rows = [(n, [cell.strip() for cell in ln.split("\t")])
+            for n, ln in enumerate(read_text(path).splitlines(), start=1)
+            if ln.strip() and not ln.strip().startswith("#")]
+    if not rows:
         raise LexiconError(f"{path}: empty norms file")
-    header = lines[0][1].split("\t")
+    header = rows[0][1]
     if len(header) < 2 or header[0] != "lemma":
         raise LexiconError(f"{path}: header must be 'lemma' plus dimension columns")
     dimensions: list[str] = []
@@ -205,8 +209,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
             raise LexiconError(f"{path}: duplicate dimension {dim!r}")
         dimensions.append(dim)
     scores: dict[str, dict[str, float]] = {}
-    for lineno, line in lines[1:]:
-        cells = line.split("\t")
+    for lineno, cells in rows[1:]:
         if len(cells) != len(header):
             raise LexiconError(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
         lemma = cells[0].casefold()

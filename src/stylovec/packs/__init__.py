@@ -115,34 +115,16 @@ def _parse_clause(spec: str):
     return universal.clause(quantifier, _parse_test(rest))
 
 
-class _Params(dict):
-    """A metric's manifest parameters; a missing one is a PackError.
-    ``read`` holds the keys the builder asked for."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key: str):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key: str, default=None):
-        return self[key] if key in self else default
-
-    def __missing__(self, key: str):
-        raise PackError(f"missing parameter {key!r}")
-
-    def number(self, key: str, convert=int, optional: bool = False):
-        """The parameter passed through ``convert``; an optional one that
-        is absent or empty is None."""
-        value = self.get(key) if optional else self[key]
-        if optional and not value:
-            return None
-        try:
-            return convert(value)
-        except ValueError:
-            raise PackError(f"parameter {key!r}: not a number {value!r}") from None
+def _number(params: dict[str, str], key: str, convert=int, optional: bool = False):
+    """Pop the parameter and pass it through ``convert``; an optional one
+    that is absent or empty is None."""
+    value = params.pop(key, None) if optional else params.pop(key)
+    if optional and not value:
+        return None
+    try:
+        return convert(value)
+    except ValueError:
+        raise PackError(f"parameter {key!r}: not a number {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,70 +132,70 @@ class _Params(dict):
 
 
 def _fam_pos(params, pack):
-    return universal.pos_incidence(params["upos"])
+    return universal.pos_incidence(params.pop("upos"))
 
 
 def _fam_feat(params, pack):
-    test = _parse_test(params["test"])
+    test = _parse_test(params.pop("test"))
     if not test.feats:
         raise PackError("feat_incidence needs at least one feat.* condition")
     return universal.token_pattern(test)
 
 
 def _fam_token_pattern(params, pack):
-    return universal.token_pattern(_parse_test(params["test"]))
+    return universal.token_pattern(_parse_test(params.pop("test")))
 
 
 def _fam_sentence_pattern(params, pack):
     keys = sorted(k for k in params if k.startswith("clause."))
-    return universal.sentence_pattern(tuple(_parse_clause(params[k]) for k in keys))
+    return universal.sentence_pattern(tuple(_parse_clause(params.pop(k)) for k in keys))
 
 
 def _fam_ttr(params, pack):
-    return universal.type_token_ratio(params.get("layer", "form"))
+    return universal.type_token_ratio(params.pop("layer", "form"))
 
 
 def _fam_top_frequency(params, pack):
-    return universal.top_frequency_incidence(params.number("fraction", float),
-                                             params.get("layer", "form"))
+    return universal.top_frequency_incidence(_number(params, "fraction", float),
+                                             params.pop("layer", "form"))
 
 
 def _fam_word_length(params, pack):
     return universal.word_length_incidence(
-        min_syllables=params.number("min_syllables", optional=True),
-        min_chars=params.number("min_chars", optional=True),
+        min_syllables=_number(params, "min_syllables", optional=True),
+        min_chars=_number(params, "min_chars", optional=True),
         language=pack.language,
     )
 
 
 def _fam_content_function(params, pack):
-    return universal.function_content_split(params["kind"])
+    return universal.function_content_split(params.pop("kind"))
 
 
 def _fam_graphical(params, pack):
-    return universal.graphical_incidence(params["kind"], emoticons=pack.emoticons)
+    return universal.graphical_incidence(params.pop("kind"), emoticons=pack.emoticons)
 
 
 def _fam_lexicon(params, pack):
-    return lexicon_incidence(pack.lexicon(params["lexicon"]))
+    return lexicon_incidence(pack.lexicon(params.pop("lexicon")))
 
 
 def _fam_sentiment(params, pack):
-    return sentiment_incidence(pack.lexicon(params["lexicon"]), params["sign"])
+    return sentiment_incidence(pack.lexicon(params.pop("lexicon")), params.pop("sign"))
 
 
 def _fam_norms(params, pack):
     if pack.norms is None:
         raise PackError("pack declares no norms file")
-    return norms_incidence(pack.norms, params["dimension"], params["side"])
+    return norms_incidence(pack.norms, params.pop("dimension"), params.pop("side"))
 
 
 def _fam_phrase_distance(params, pack):
-    return universal.phrase_distance(params["upos"])
+    return universal.phrase_distance(params.pop("upos"))
 
 
 def _fam_repetition(params, pack):
-    return universal.repetition_incidence(params["kind"])
+    return universal.repetition_incidence(params.pop("kind"))
 
 
 # family name -> (builder, local, scale_invariant): the builder and the two
@@ -236,8 +218,6 @@ FAMILIES = {
 }
 
 DETECTORS = {**english.DETECTORS, **polish.DETECTORS, **eastslavic.DETECTORS}
-
-_META_KEYS = frozenset({"category", "family", "detector", "name_en", "description", "language"})
 
 
 def _read_manifest(language: str) -> configparser.ConfigParser:
@@ -316,16 +296,18 @@ def load_pack(language: str) -> Registry:
 
 def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
                   categories: tuple[str, ...]) -> Metric:
-    category = opts.get("category")
+    """The metric of one manifest section. The six metadata keys are popped
+    here and the builder pops its own, so a key left over is unused."""
+    params = dict(opts)
+    category = params.pop("category", None)
     if not category:
         raise PackError("missing category")
     if category not in categories:
         raise PackError(f"category {category!r} not declared by the pack")
-    family = opts.get("family")
-    detector = opts.get("detector")
+    family = params.pop("family", None)
+    detector = params.pop("detector", None)
     if bool(family) == bool(detector):
         raise PackError("exactly one of family/detector required")
-    params = _Params((k, v) for k, v in opts.items() if k not in _META_KEYS)
     if family:
         if family not in FAMILIES:
             raise PackError(f"unknown family {family!r}")
@@ -334,19 +316,23 @@ def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,
         if detector not in DETECTORS:
             raise PackError(f"unknown detector {detector!r}")
         builder, local, scale_invariant = DETECTORS[detector], True, True
+    language = params.pop("language", pack.language)
+    description = params.pop("description", "")
+    name_en = params.pop("name_en", "")
     try:
         rule = builder(params, pack)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise PackError(f"missing parameter {exc.args[0]!r}") from None
+    except ValueError as exc:
         raise PackError(str(exc)) from None
-    unread = [key for key in params if key not in params.read]
-    if unread:
-        raise PackError(f"unused parameter {unread[0]!r}")
+    if params:
+        raise PackError(f"unused parameter {next(iter(params))!r}")
     descriptor = MetricDescriptor(
         id=mid,
         category=category,
-        language=opts.get("language", pack.language),
-        description=opts.get("description", ""),
-        name_en=opts.get("name_en", ""),
+        language=language,
+        description=description,
+        name_en=name_en,
         local=local,
         scale_invariant=scale_invariant,
     )

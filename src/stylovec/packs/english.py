@@ -158,10 +158,11 @@ def verb_group(params, pack):
     if names not in _SHAPES or len(names) != len(params):
         raise ValueError("verb_group takes tense, aspect and voice, or one of tense, "
                          f"voice, modal; got {sorted(params)}")
-    for name in names:
-        if params[name] not in _VALUES[name]:
-            raise ValueError(f"unknown {name} {params[name]!r}")
-    return _table_rule(tuple(params[name] for name in names))
+    key = tuple(params.pop(name) for name in names)
+    for name, value in zip(names, key):
+        if value not in _VALUES[name]:
+            raise ValueError(f"unknown {name} {value!r}")
+    return _table_rule(key)
 
 
 # ---------------------------------------------------------------------------

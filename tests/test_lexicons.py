@@ -266,6 +266,19 @@ class TestLoadNorms:
             norms = load_norms(self.put(tmp_path, body))
         assert norms.scores["x"]["v"] == 5.0
 
+    def test_indented_comment_is_skipped(self, tmp_path):
+        norms = load_norms(self.put(tmp_path, "lemma\tv:1\n  # note\nkot\t6.0\n"))
+        assert norms.scores == {"kot": {"v": 6.0}}
+
+    def test_cells_are_stripped(self, tmp_path):
+        # a lemma stored as 'kot ' would match no token: a silent zero column
+        norms = load_norms(self.put(tmp_path, "lemma\tv:1\nkot \t6.0\n"))
+        assert norms.scores == {"kot": {"v": 6.0}}
+
+    def test_trailing_tab_is_an_extra_column(self, tmp_path):
+        with pytest.raises(LexiconError, match=r"norms\.tsv:2: expected 2 columns, got 3"):
+            load_norms(self.put(tmp_path, "lemma\tv:1\nkot\t6.0\t\n"))
+
     def test_errors_name_the_line_of_the_file(self, tmp_path, caplog):
         # comment and blank lines count: the bad row is line 6 of the file
         head = "# comment\n\nlemma\tv:1\n# another\ndobro\t6\n"

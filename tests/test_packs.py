@@ -14,6 +14,8 @@ from stylovec.lexicons import AffectiveNorms, Lexicon
 from stylovec.output import write_debug_csv
 from stylovec.packs import PackError, PackResources, registry_for
 
+from conftest import doc, word_sentence
+
 TESTS = Path(__file__).parent
 
 
@@ -106,15 +108,32 @@ VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, mo
      "unknown detector 'verb_group_cell'"),
     ({"family": "type_token_ratio", "layr": "lemma"}, "unused parameter 'layr'"),
     ({"detector": "fronting", "tense": "past"}, "unused parameter 'tense'"),
+    ({"family": "sentiment", "lexicon": "sent"}, "missing parameter 'sign'"),
+    ({"family": "top_frequency"}, "missing parameter 'fraction'"),
+    ({"family": "type_token_ratio", "layr": "lemma", "zz": "1"}, "unused parameter 'layr'"),
+    ({"family": "word_length", "min_chars": ""}, "word_length needs min_syllables or min_chars"),
 ])
 def test_build_error_message_names_the_bad_value(params, message):
     """Every error a manifest metric can raise, with its exact text; a
-    row's ``pack`` replaces the default resources."""
+    row's ``pack`` replaces the default resources. The section given to
+    the loader is left as it was."""
     opts = {"category": "LEX", **params}
     pack = opts.pop("pack", None) or _resources()
+    given = dict(opts)
     with pytest.raises(PackError) as info:
         packs._build_metric("X", opts, pack, ("LEX",))
     assert str(info.value) == message
+    assert opts == given
+
+
+def test_built_metric_leaves_the_section_as_it_was():
+    opts = {"category": "LEX", "family": "sentiment", "lexicon": "sent", "sign": "positive",
+            "description": "d", "name_en": "n", "language": "xx"}
+    given = dict(opts)
+    metric = packs._build_metric("X", opts, _resources(), ("LEX",))
+    assert opts == given
+    assert (metric.descriptor.language, metric.descriptor.description,
+            metric.descriptor.name_en) == ("xx", "d", "n")
 
 
 @pytest.mark.parametrize("call,message", [
@@ -139,27 +158,15 @@ def test_library_call_raises_the_manifest_message(call, message):
     assert str(info.value) == message
 
 
-def test_every_builder_and_parameter_serves_a_stock_metric(monkeypatch):
-    """Each family and detector builds at least one stock metric, each stock
-    metric's builder reads every parameter of its manifest section, and every
-    metric section loads, so a leftover builder or a misspelt key fails."""
-    built: list[packs._Params] = []
-
-    class Recorded(packs._Params):
-        def __init__(self, items):
-            super().__init__(items)
-            built.append(self)
-
-    monkeypatch.setattr(packs, "_Params", Recorded)
+def test_every_builder_and_parameter_serves_a_stock_metric():
+    """Each family and detector builds at least one stock metric and every
+    metric section loads, so a leftover builder fails; ``load_pack`` refuses
+    a key that no builder takes, so a misspelt key fails too."""
     families, detectors = set(), set()
     for language in packs.PACK_FILES:
-        built.clear()
         ids = packs.load_pack(language).ids()
         cfg = packs._read_manifest(language)
         assert ids == tuple(s.split()[1] for s in cfg.sections() if s.startswith("metric "))
-        assert len(built) == len(ids)
-        for mid, params in zip(ids, built):
-            assert set(params) <= params.read, mid
         families |= {cfg[s]["family"] for s in cfg.sections() if "family" in cfg[s]}
         detectors |= {cfg[s]["detector"] for s in cfg.sections() if "detector" in cfg[s]}
     assert families == set(packs.FAMILIES)
@@ -267,3 +274,44 @@ def test_detector_captures_match_golden():
 def test_captures_match_golden():
     golden = TESTS / "golden" / "captures.csv"
     assert _captures_csv() == golden.read_text(encoding="utf-8")
+
+
+# A hand-checked hit for each stock metric that reads a data file under
+# packs/data and that no golden file ever shows non-zero, unless another
+# test already pins it (LEX_HURTFUL, LINK_EXAMPLE, LEX_VULGAR, LEX_ERRORS
+# and LEX_ADV_PHRASE have their own). Each sentence is a flat list of words
+# whose lemmas are their case-folded forms; the refs are the words that the
+# metric's file makes it capture, and the value is their share of the
+# sentence's words.
+DATA_FILE_HITS = [
+    # linking_en_time_place.txt: 'at last'
+    ("en", "LINK_TIME_PLACE", "At last we met", ((0, 0), (0, 1)), 2 / 4),
+    # linking_en_manner.txt: 'as if'
+    ("en", "LINK_MANNER", "He spoke as if tired", ((0, 2), (0, 3)), 2 / 5),
+    # linking_en_cause_purpose.txt: 'due to'
+    ("en", "LINK_CAUSE_PURPOSE", "We stayed due to rain", ((0, 2), (0, 3)), 2 / 5),
+    # linking_en_condition.txt: 'unless'
+    ("en", "LINK_CONDITION", "Come unless it rains", ((0, 1),), 1 / 4),
+    # linking_en_contrast.txt: 'even though' is taken whole, so 'though' is
+    # not matched again
+    ("en", "LINK_CONTRAST", "We left even though it rained", ((0, 2), (0, 3)), 2 / 6),
+    # linking_en_agreement.txt: 'of course'
+    ("en", "LINK_AGREEMENT", "Of course she knows", ((0, 0), (0, 1)), 2 / 4),
+    # linking_en_effect.txt: 'as a result'
+    ("en", "LINK_EFFECT", "As a result we won", ((0, 0), (0, 1), (0, 2)), 3 / 5),
+    # adverbs_duration_pl.txt: the lemma 'długo'
+    ("pl", "LEX_ADV_DURATION", "Czekał długo", ((0, 1),), 1 / 2),
+    # norms_pl.tsv, origin_minus (mean 4.00): 'ptak' scores 4.00, which is at
+    # most the mean; 'kot' scores 4.23 and 'i' is not scored
+    ("pl", "PS_ORI_MINUS_BELOW", "Ptak i kot", ((0, 0),), 1 / 3),
+]
+
+
+@pytest.mark.parametrize("language,metric_id,text,captured,value", DATA_FILE_HITS,
+                         ids=[row[1] for row in DATA_FILE_HITS])
+def test_data_file_metric_hits_a_hand_checked_sentence(language, metric_id, text,
+                                                       captured, value):
+    document = doc(word_sentence(*text.split()), language=language)
+    registry = registry_for(language, metric_ids=(metric_id,))
+    (result,) = evaluate_all(registry, document).results
+    assert (result.captured, result.value) == (captured, value)

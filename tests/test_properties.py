@@ -264,17 +264,18 @@ def token_incidence(pred):
 
 
 def _scan_test(params, pack):
-    return token_incidence(packs._parse_test(params["test"]).matches)
+    return token_incidence(packs._parse_test(params.pop("test")).matches)
 
 
 def _scan_split(params, pack):
-    content, function = params["kind"] == "content", params["kind"] == "function"
+    kind = params.pop("kind")
+    content, function = kind == "content", kind == "function"
     return token_incidence(lambda t, s: (t.upos in CONTENT_UPOS) == content
                            and (t.upos in FUNCTION_UPOS) == function)
 
 
 def _scan_graphical(params, pack):
-    kind = params["kind"]
+    kind = params.pop("kind")
     test = pack.emoticons.__contains__ if kind == "emoticon" else universal._FORM_TESTS[kind]
     return token_incidence(lambda t, s: test(t.form))
 
@@ -291,12 +292,12 @@ def scan_word_length(min_syllables, min_chars, language):
 
 
 def _scan_word_length(params, pack):
-    return scan_word_length(params.number("min_syllables", optional=True),
-                            params.number("min_chars", optional=True), pack.language)
+    return scan_word_length(packs._number(params, "min_syllables", optional=True),
+                            packs._number(params, "min_chars", optional=True), pack.language)
 
 
 def _scan_lexicon(params, pack):
-    lexicon = pack.lexicon(params["lexicon"])
+    lexicon = pack.lexicon(params.pop("lexicon"))
     if lexicon.mode == "phrase":
         return lambda ctx: (phrase_refs_by_loop(ctx, lexicon.phrase_index), None)
     if lexicon.mode == "prefix":
@@ -308,15 +309,15 @@ def _scan_lexicon(params, pack):
 
 
 def _scan_sentiment(params, pack):
-    lexicon = pack.lexicon(params["lexicon"])
-    positive = params["sign"] == "positive"
+    lexicon = pack.lexicon(params.pop("lexicon"))
+    positive = params.pop("sign") == "positive"
     hits = {e for e, w in lexicon.weights.items() if (w > 0 if positive else w < 0)}
     key = (lambda t: t.lemma) if lexicon.mode == "lemma_exact" else (lambda t: t.form)
     return token_incidence(lambda t, s: key(t).casefold() in hits)
 
 
 def _scan_norms(params, pack):
-    dim, above = params["dimension"], params["side"] == "above_mean"
+    dim, above = params.pop("dimension"), params.pop("side") == "above_mean"
     mean = pack.norms.means[dim]
     hits = {lemma for lemma, row in pack.norms.scores.items()
             if (row[dim] > mean if above else row[dim] <= mean)}

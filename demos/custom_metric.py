@@ -1,9 +1,8 @@
-"""Custom metrics: the registry is open — add your own rules next to the
-bundled ones.
+"""Custom metrics: add your own rules next to the bundled ones.
 
 Defines two new metrics from the building blocks the package exposes —
 a token pattern over morphological features and a hand-written rule
-function — registers them alongside a slice of the stock English
+function — builds a registry of them and a slice of the stock English
 registry, and evaluates everything in one pass.
 
 Run:  python3 demos/custom_metric.py
@@ -66,10 +65,9 @@ def main() -> None:
         long_word_rule,
     )
 
-    # Start from the stock part-of-speech slice, then add the new rules.
-    registry = Registry(registry_for("en", categories=("pos",)))
-    registry.register(plural_nouns)
-    registry.register(long_words)
+    # A registry is fixed when it is built: start a new one from the stock
+    # part-of-speech slice and the new rules.
+    registry = Registry([*registry_for("en", categories=("pos",)), plural_nouns, long_words])
 
     document = parse_conllu(DOCUMENT, doc_id="demo")
     vector = evaluate_all(registry, document)

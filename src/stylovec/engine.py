@@ -177,17 +177,16 @@ def evaluate_metric(metric: Metric, ctx: DocContext) -> MetricResult:
 
 
 class Registry:
-    """Ordered, unique-id collection of metrics."""
+    """Ordered, unique-id collection of metrics, fixed when it is built; to
+    extend one, build another: ``Registry([*registry, mine])``."""
 
     def __init__(self, metrics: Iterable[Metric] = ()):
         self._metrics: dict[str, Metric] = {}
         for metric in metrics:
-            self.register(metric)
-
-    def register(self, metric: Metric) -> None:
-        if metric.id in self._metrics:
-            raise ValueError(f"duplicate metric id {metric.id!r}")
-        self._metrics[metric.id] = metric
+            if metric.id in self._metrics:
+                raise ValueError(f"duplicate metric id {metric.id!r}")
+            self._metrics[metric.id] = metric
+        self._ids = tuple(self._metrics)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -202,7 +201,7 @@ class Registry:
         return self._metrics[metric_id]
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._metrics)
+        return self._ids
 
     def categories(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -212,10 +211,9 @@ class Registry:
 
     def subset(self, categories: Sequence[str] | None = None,
                ids: Sequence[str] | None = None) -> "Registry":
-        """Filtered copy preserving registration order.
-
-        Unknown category or metric names raise KeyError; a metric is kept
-        if it matches either filter, or both filters are unset.
+        """The metrics that match either filter, in registry order; with
+        neither filter, the registry itself. Unknown category or metric
+        names raise KeyError.
         """
         if categories:
             known = set(self.categories())
@@ -227,7 +225,7 @@ class Registry:
             if bad:
                 raise KeyError(f"unknown metric ids: {', '.join(sorted(bad))}")
         if not categories and not ids:
-            return Registry(self)
+            return self
         cats = set(categories or ())
         wanted = set(ids or ())
         picked = [m for m in self
@@ -287,7 +285,7 @@ class StyloVector:
 
 
 def evaluate_all(registry: Registry, doc: Document, captures: bool = True) -> StyloVector:
-    """Evaluate every registered metric against one document, sharing a
+    """Evaluate every metric of the registry against one document, sharing a
     single context so indexes are built once; ``captures=False`` skips
     sorting and keeping the refs."""
     if len(registry) == 0:

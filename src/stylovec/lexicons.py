@@ -72,6 +72,13 @@ def read_text(path: Path) -> str:
         raise LexiconError(f"{path}: cannot read: {exc}") from None
 
 
+def read_lines(path: Path) -> list[str]:
+    """The lines of a pack data file. As in a CoNLL-U file, ``\\r\\n`` folds
+    to ``\\n`` and a line ends only at ``\\n``: ``str.splitlines`` would also
+    break inside an entry at U+0085, U+2028, form feeds and the like."""
+    return read_text(path).replace("\r\n", "\n").split("\n")
+
+
 def _finite(text: str) -> float:
     """``float(text)``, with ``nan`` and the infinities a ValueError too:
     ``nan`` falls on neither side of zero or of a mean, and no rating
@@ -85,7 +92,7 @@ def _finite(text: str) -> float:
 def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
     """``(line number, entry, weight)`` for every entry line of a lexicon file."""
     out: list[tuple[int, str, float | None]] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -188,7 +195,7 @@ def load_norms(path: str | Path) -> AffectiveNorms:
     mean as ``name:mean``."""
     path = Path(path)
     rows = [(n, [cell.strip() for cell in ln.split("\t")])
-            for n, ln in enumerate(read_text(path).splitlines(), start=1)
+            for n, ln in enumerate(read_lines(path), start=1)
             if ln.strip() and not ln.strip().startswith("#")]
     if not rows:
         raise LexiconError(f"{path}: empty norms file")

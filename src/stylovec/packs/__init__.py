@@ -29,6 +29,7 @@ from ..lexicons import (
     load_lexicon,
     load_norms,
     norms_incidence,
+    read_lines,
     read_text,
     sentiment_incidence,
 )
@@ -242,24 +243,28 @@ def load_pack(language: str) -> Registry:
     cfg = _read_manifest(language)
     if "pack" not in cfg:
         raise PackError(f"{language}: manifest lacks [pack] section")
-    head = cfg["pack"]
-    if head.get("language") != language:
-        raise PackError(f"{language}: manifest declares language {head.get('language')!r}")
-    categories = split_values(head.get("categories", ""))
+    head = dict(cfg["pack"])
+    declared = head.pop("language", None)
+    if declared != language:
+        raise PackError(f"{language}: manifest declares language {declared!r}")
+    categories = split_values(head.pop("categories", ""))
     if not categories:
         raise PackError(f"{language}: manifest declares no categories")
+    emoticons, norms = head.pop("emoticons", None), head.pop("norms", None)
+    if head:
+        raise PackError(f"pack: unused parameter {next(iter(head))!r}")
 
     pack = PackResources(language=language)
     try:
-        if head.get("emoticons"):
-            entries = (ln.strip() for ln in read_text(DATA_DIR / head["emoticons"]).splitlines())
+        if emoticons:
+            entries = (ln.strip() for ln in read_lines(DATA_DIR / emoticons))
             pack.emoticons = frozenset(e for e in entries if e and not e.startswith("#"))
-        if head.get("norms"):
-            pack.norms = load_norms(DATA_DIR / head["norms"])
+        if norms:
+            pack.norms = load_norms(DATA_DIR / norms)
     except LexiconError as exc:
         raise PackError(str(exc)) from None
 
-    metric_sections: list[tuple[str, dict[str, str]]] = []
+    metric_sections: dict[str, dict[str, str]] = {}
     for section in cfg.sections():
         if section == "pack":
             continue
@@ -267,11 +272,12 @@ def load_pack(language: str) -> Registry:
         name = name.strip()
         if kind == "lexicon" and name:
             opts = dict(cfg[section])
-            mode = opts.get("mode")
-            file = opts.get("file")
+            mode, file = opts.pop("mode", None), opts.pop("file", None)
             if not mode or not file:
                 raise PackError(f"lexicon {name}: needs file and mode")
-            exceptions = opts.get("exceptions")
+            exceptions = opts.pop("exceptions", None)
+            if opts:
+                raise PackError(f"lexicon {name}: unused parameter {next(iter(opts))!r}")
             try:
                 pack.lexicons[name] = load_lexicon(
                     DATA_DIR / file, mode, name=name,
@@ -279,19 +285,21 @@ def load_pack(language: str) -> Registry:
             except LexiconError as exc:
                 raise PackError(f"lexicon {name}: {exc}") from None
         elif kind == "metric" and name:
-            metric_sections.append((name, dict(cfg[section])))
+            if name in metric_sections:  # e.g. [metric X] and [metric X ]
+                raise PackError(f"metric {name}: duplicate metric id {name!r}")
+            metric_sections[name] = dict(cfg[section])
         else:
             raise PackError(f"unrecognized section [{section}]")
 
-    registry = Registry()
-    for mid, opts in metric_sections:
+    metrics = []
+    for mid, opts in metric_sections.items():
         try:
-            registry.register(_build_metric(mid, opts, pack, categories))
+            metrics.append(_build_metric(mid, opts, pack, categories))
         except ValueError as exc:
             raise PackError(f"metric {mid}: {exc}") from None
-    if len(registry) == 0:
+    if not metrics:
         raise PackError(f"{language}: manifest defines no metrics")
-    return registry
+    return Registry(metrics)
 
 
 def _build_metric(mid: str, opts: dict[str, str], pack: PackResources,

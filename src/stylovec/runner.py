@@ -4,7 +4,9 @@ One worker unit = one file: read, parse, evaluate against the pack for
 the document's language, optionally write the per-document debug CSV.
 Captures are built only for the debug CSV. At any ``jobs`` value the
 worker returns the vector's columns as builtins, from which the main
-process builds a vector without captures. Results are re-sorted by
+process builds a vector without captures under the one ids tuple of
+its cached registry; registries are fixed when built, so a ``spawn``
+worker's fresh pack has the same ids. Results are re-sorted by
 document id afterwards, so the output is byte-identical for any
 ``jobs`` value.
 """
@@ -128,13 +130,10 @@ def _check_known(languages, categories, metric_ids) -> None:
 
 
 def _collect(result: RunResult, outcomes, strict: bool, categories, metric_ids) -> None:
-    ids_of: dict[str, tuple[str, ...]] = {}  # one ids tuple per language, shared by its vectors
     for outcome in outcomes:
         if outcome[0] == "ok":
             _, lang, doc_id, values, raw_counts, flags = outcome
-            ids = ids_of.get(lang)
-            if ids is None:
-                ids = ids_of[lang] = registry_for(lang, categories, metric_ids).ids()
+            ids = registry_for(lang, categories, metric_ids).ids()
             result.vectors.setdefault(lang, []).append(
                 StyloVector(doc_id, ids, values, raw_counts, flags))
             result.report.processed += 1

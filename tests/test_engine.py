@@ -174,9 +174,8 @@ class TestRegistry:
         assert len(reg) == 3
 
     def test_duplicate_id_rejected(self):
-        reg = Registry(self.metrics())
-        with pytest.raises(ValueError, match="duplicate"):
-            reg.register(make_metric("A_ONE", lambda ctx: ([], 0.0)))
+        with pytest.raises(ValueError, match="^duplicate metric id 'A_ONE'$"):
+            Registry([*self.metrics(), make_metric("A_ONE", lambda ctx: ([], 0.0))])
 
     def test_subset_by_category(self):
         reg = Registry(self.metrics())
@@ -197,12 +196,11 @@ class TestRegistry:
         with pytest.raises(KeyError, match="NOPE"):
             reg.subset(ids=["NOPE"])
 
-    def test_unfiltered_subset_is_copy(self):
+    def test_unfiltered_subset_is_the_registry(self):
         reg = Registry(self.metrics())
-        copy = reg.subset()
-        assert copy.ids() == reg.ids()
-        copy.register(make_metric("C_ONE", lambda ctx: ([], 0.0)))
-        assert "C_ONE" not in reg
+        assert reg.subset() is reg
+        assert not hasattr(reg, "register")
+        assert reg.ids() is reg.ids()
 
 
 class TestSchemaHash:

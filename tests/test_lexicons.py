@@ -98,6 +98,19 @@ class TestLoadLexicon:
         lx = load_lexicon(p, mode="prefix", exceptions_path=e)
         assert lx.exceptions == frozenset({"antique"})
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c",
+                                           "\x1c", "\x1d", "\x1e", "\r"],
+                             ids=["NEL", "LS", "PS", "VT", "FF", "FS", "GS", "RS", "CR"])
+    def test_a_line_ends_only_at_newline(self, tmp_path, separator):
+        p = self.put(tmp_path, f"a\r\nc{separator}d\nb\n")
+        assert load_lexicon(p, mode="phrase").entries == frozenset({"a", "c d", "b"})
+        self.put(tmp_path, f"a\r\nc{separator}d\nb\theavy\n")
+        with pytest.raises(LexiconError, match=r"words\.txt:3: bad weight 'heavy'"):
+            load_lexicon(p, mode="form_exact")
+        n = self.put(tmp_path, f"lemma\tv:1\r\nko{separator}t\t5\nbad\tx\n", name="n.tsv")
+        with pytest.raises(LexiconError, match=r"n\.tsv:3: non-numeric score"):
+            load_norms(n)
+
     def test_phrase_entries_whitespace_normalized(self, tmp_path):
         p = self.put(tmp_path, "Na   Przykład\n")
         lx = load_lexicon(p, mode="phrase")

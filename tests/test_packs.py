@@ -174,7 +174,8 @@ def test_every_builder_and_parameter_serves_a_stock_metric():
 
 
 class TestPackFiles:
-    """An unreadable pack data file is a PackError naming the file."""
+    """An unreadable pack data file is a PackError naming the file, and a
+    manifest fault is one naming its section."""
 
     HEAD = b"[pack]\nlanguage = en\ncategories = LEX\n"
 
@@ -212,6 +213,18 @@ class TestPackFiles:
         text = self.message(monkeypatch, tmp_path,
                             self.HEAD + b"[lexicon words]\nfile = words\nmode = lemma_exact\n")
         assert text.startswith(f"lexicon words: {tmp_path / 'words'}: cannot read: ")
+
+    @pytest.mark.parametrize("section,message", [
+        (b"emoticon = emo.txt\n", "pack: unused parameter 'emoticon'"),
+        (b"[lexicon words]\nfile = words.txt\nmode = prefix\nexception = exc.txt\n",
+         "lexicon words: unused parameter 'exception'"),
+        (b"[metric X]\ncategory = LEX\nfamily = pos_incidence\nupos = NOUN\n"
+         b"[metric X ]\ncategory = LEX\nfamily = pos_incidence\nupos = VERB\n",
+         "metric X: duplicate metric id 'X'"),
+    ], ids=["pack-key", "lexicon-key", "duplicate-metric"])
+    def test_manifest_fault_names_its_section(self, monkeypatch, tmp_path, section, message):
+        (tmp_path / "words.txt").write_bytes(b"anty\n")
+        assert self.message(monkeypatch, tmp_path, self.HEAD + section) == message
 
 
 def test_every_family_and_detector_is_used_by_a_stock_manifest():

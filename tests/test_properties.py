@@ -170,10 +170,10 @@ _WITH_CUSTOM: dict[str, Registry] = {}
 def with_custom(language: str) -> Registry:
     """The stock registry plus three rules that fail or count oddly."""
     if language not in _WITH_CUSTOM:
-        registry = Registry(registry_for(language))
-        for mid, rule in CUSTOM_RULES.items():
-            registry.register(Metric(MetricDescriptor(mid, "custom", language, ""), rule))
-        _WITH_CUSTOM[language] = registry
+        _WITH_CUSTOM[language] = Registry([
+            *registry_for(language),
+            *(Metric(MetricDescriptor(mid, "custom", language, ""), rule)
+              for mid, rule in CUSTOM_RULES.items())])
     return _WITH_CUSTOM[language]
 
 

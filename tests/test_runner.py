@@ -41,13 +41,10 @@ def _with_rules(monkeypatch, rules):
 
     def registry_for(language, categories=None, metric_ids=None):
         if language not in cache:
-            registry = Registry(stock(language, categories, metric_ids))
-            for mid, rule in rules:
-                registry.register(Metric(
-                    MetricDescriptor(id=mid, category="custom", language=language, description=""),
-                    rule,
-                ))
-            cache[language] = registry
+            cache[language] = Registry([*stock(language, categories, metric_ids), *(
+                Metric(MetricDescriptor(id=mid, category="custom", language=language,
+                                        description=""), rule)
+                for mid, rule in rules)])
         return cache[language]
 
     monkeypatch.setattr(runner, "registry_for", registry_for)
@@ -94,23 +91,16 @@ def test_vectors_of_one_language_share_one_ids_tuple():
         assert len({id(v.metric_ids) for v in vectors}) == 1
 
 
-def test_collect_looks_up_ids_once_per_language(monkeypatch):
-    calls = []
-    real = runner.registry_for
-
-    def spy(language, *filters):
-        calls.append(language)
-        return real(language, *filters)
-
-    monkeypatch.setattr(runner, "registry_for", spy)
+def test_collected_vectors_carry_the_registry_ids_tuple():
     outcomes = []
     for lang in ("en", "pl", "en", "pl", "en"):
-        n = len(real(lang).ids())
+        n = len(runner.registry_for(lang))
         outcomes.append(("ok", lang, f"d{len(outcomes)}", (0.0,) * n, (0.0,) * n, ()))
     result = runner.RunResult()
     runner._collect(result, outcomes, False, None, None)
-    assert calls == ["en", "pl"]
     assert result.report.processed == 5
+    for lang, vectors in result.vectors.items():
+        assert all(v.metric_ids is runner.registry_for(lang).ids() for v in vectors)
 
 
 @pytest.mark.parametrize("kwargs,loaded", [
@@ -151,6 +141,31 @@ def test_cli_import_does_not_load_the_process_pool():
             "assert 'concurrent.futures.process' not in sys.modules, 'pool loaded'")
     env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+SPAWNED_RUNS = """\
+import multiprocessing, sys
+from stylovec.runner import analyze_corpus
+
+def columns(run):
+    return [(lang, v.doc_id, v.metric_ids, [repr(x) for x in v.values],
+             [repr(x) for x in v.raw_counts], v.flags)
+            for lang, vectors in sorted(run.vectors.items()) for v in vectors]
+
+multiprocessing.set_start_method("spawn")
+one, two = (analyze_corpus(sys.argv[1], jobs=jobs) for jobs in (1, 2))
+assert two.report.processed == 6 and not two.report.errors
+assert columns(one) == columns(two)
+"""
+
+
+def test_spawned_workers_give_the_vectors_of_one_process():
+    """Workers started by ``spawn`` load every pack afresh instead of
+    inheriting the parent's registries, and still give the same vectors.
+    The start method is set in a subprocess, so this session keeps its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", SPAWNED_RUNS, str(CORPUS)], env=env, check=True,
+                   timeout=120)
 
 
 def _walk(value):

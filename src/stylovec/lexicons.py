@@ -2,10 +2,11 @@
 affective norms.
 
 Lexicon files hold one case-folded entry per line with ``#`` comments
-and an optional tab-separated signed weight. Matching modes: exact
-lemma, exact form, form prefix with a full-form exception list, and
-multi-word phrase (consecutive forms inside one sentence, longest
-first, greedy left-to-right, non-overlapping).
+and an optional tab-separated signed weight, which only sentiment
+metrics read. Matching modes: exact lemma, exact form, form prefix with
+a full-form exception list, and multi-word phrase (consecutive forms
+inside one sentence, longest first, greedy left-to-right,
+non-overlapping).
 
 Norms files are tab-separated: a ``lemma`` column plus one column per
 scored dimension, the header cell carrying ``name:mean``; metrics count
@@ -110,8 +111,10 @@ def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
 def load_lexicon(path: str | Path, mode: str, name: str | None = None,
                  exceptions_path: str | Path | None = None) -> Lexicon:
     """Load a lexicon file; duplicates are dropped with a warning and
-    an entry-free file is an error."""
+    an entry-free file is an error. Only a prefix lexicon takes exceptions."""
     path = Path(path)
+    if exceptions_path is not None and mode != "prefix":
+        raise LexiconError(f"{name or path.stem}: exceptions apply only in prefix mode")
     entries: dict[str, float | None] = {}
     for lineno, entry, weight in _read_entries(path):
         if entry in entries:
@@ -131,7 +134,11 @@ def load_lexicon(path: str | Path, mode: str, name: str | None = None,
 
 
 def lexicon_incidence(lexicon: Lexicon):
-    """Rule capturing the tokens the lexicon matches under its mode."""
+    """Rule capturing the tokens the lexicon matches under its mode; a
+    weighted lexicon is refused, as only :func:`sentiment_incidence` reads
+    weights."""
+    if lexicon.weights:
+        raise LexiconError(f"{lexicon.name}: weights apply only to sentiment metrics")
     if lexicon.mode == "prefix":
         prefixes = tuple(lexicon.entries)
         return key_incidence("form_index", lambda form: form not in lexicon.exceptions

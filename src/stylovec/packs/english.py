@@ -124,25 +124,27 @@ def extract_verb_groups(sent: Sentence) -> list[VerbGroup]:
     return groups
 
 
-def doc_verb_groups(ctx: DocContext) -> list[list[VerbGroup]]:
-    return ctx.memo("en.verb_groups",
-                    lambda: [extract_verb_groups(s) for s in ctx.doc.sentences])
-
-
 def verb_group_table(ctx: DocContext) -> dict:
     """Verb-group token refs under ``(tense,)``, ``(voice,)``, ``(modal,)`` and
-    ``(tense, aspect, voice)`` for each classified group (tense set), and under
-    ``"do_support"`` for each group with emphatic do."""
+    ``(tense, aspect, voice)`` for each classified group (tense set), under
+    ``"do_support"`` for each group with emphatic do, and under ``"irritation"``
+    for the continuous groups and intensifiers of a sentence that has both."""
     def build():
         table: dict = {}
-        for si, (sent, groups) in enumerate(zip(ctx.doc.sentences, doc_verb_groups(ctx))):
-            for g in groups:
+        for si, sent in enumerate(ctx.doc.sentences):
+            continuous: list[TokenRef] = []
+            for g in extract_verb_groups(sent):
                 keys = ["do_support"] if do_support(g, sent) else []
                 if g.tense:
                     keys += [(g.tense,), (g.voice,), (g.modal,), (g.tense, g.aspect, g.voice)]
                 refs = [(si, t.index) for t in g.tokens]
                 for key in keys:
                     table.setdefault(key, []).extend(refs)
+                if g.aspect in ("continuous", "perfect_continuous"):
+                    continuous += refs
+            if continuous and (intensifiers := _intensifiers(sent)):
+                table.setdefault("irritation", []).extend(
+                    continuous + [(si, ti) for ti in intensifiers])
         return table
     return ctx.memo("en.verb_group_table", build)
 
@@ -192,6 +194,8 @@ def fronting(sent: Sentence) -> list[int]:
     return found
 
 
+# irritation, the habitual-annoyance figure ('she is always complaining'): a
+# continuous group and an intensifier in one sentence
 _IRRITATION_LEMMAS = frozenset({"constantly", "continuously", "always"})
 _IRRITATION_PHRASES = {"all": [("all", "the", "time")], "every": [("every", "time")]}
 
@@ -199,21 +203,6 @@ _IRRITATION_PHRASES = {"all": [("all", "the", "time")], "every": [("every", "tim
 def _intensifiers(sent: Sentence) -> list[int]:
     return ([t.index for t in sent.tokens if t.lemma.casefold() in _IRRITATION_LEMMAS]
             + phrase_hits(sent, _IRRITATION_PHRASES))
-
-
-def irritation(ctx: DocContext):
-    """Habitual-annoyance figure: a continuous-aspect group together
-    with an intensifier ('always', 'constantly', 'all the time', ...)."""
-    refs: list[TokenRef] = []
-    for si, sent in enumerate(ctx.doc.sentences):
-        intens = _intensifiers(sent)
-        if not intens:
-            continue
-        continuous = [t.index for g in doc_verb_groups(ctx)[si]
-                      if g.aspect in ("continuous", "perfect_continuous") for t in g.tokens]
-        if continuous:
-            refs.extend((si, ti) for ti in continuous + intens)
-    return refs, None
 
 
 _SIMILE_VERBS = frozenset({"look", "seem", "sound", "feel"})
@@ -271,7 +260,7 @@ def inversion(sent: Sentence) -> tuple[int, ...]:
 DETECTORS = {
     "verb_group": verb_group,
     "fronting": lambda params, pack: sentence_refs(fronting),
-    "irritation": lambda params, pack: irritation,
+    "irritation": lambda params, pack: _table_rule("irritation"),
     "simile_en": lambda params, pack: sentence_refs(simile),
     "do_support": lambda params, pack: _table_rule("do_support"),
     "inversion": lambda params, pack: sentence_refs(inversion),

@@ -1,9 +1,8 @@
 """Synthetic document generators for stress tests and demos.
 
-Three producers: a fuzzer emitting random but structurally valid
-documents, two contrasting English "genre" generators with deliberately
-different grammatical profiles, and small corpus transforms
-(duplication, dilution) used by the invariance checks.
+Two producers: a fuzzer emitting random but structurally valid
+documents, and two contrasting English "genre" generators with
+deliberately different grammatical profiles.
 """
 
 from __future__ import annotations
@@ -113,41 +112,6 @@ def random_document(rng: random.Random, doc_id: str, language: str = "en",
         sentences.append(_random_sentence(rng, size))
         remaining -= size
     return Document(doc_id=doc_id, language=language, sentences=tuple(sentences))
-
-
-# --------------------------------------------------------------- transforms
-
-def duplicate(doc: Document, k: int) -> Document:
-    """Repeat every sentence k times over (whole-document concatenation)."""
-    return Document(doc_id=f"{doc.doc_id}__x{k}", language=doc.language,
-                    sentences=doc.sentences * k)
-
-
-def filler_sentence(n: int) -> Sentence:
-    """n inert tokens: unique vowel-free lowercase forms, UPOS X, flat tree."""
-    consonants = "bcdfghjklmnpqrstvwxz"
-    tokens = []
-    for i in range(n):
-        digits = []
-        value = i
-        while True:
-            digits.append(consonants[value % len(consonants)])
-            value //= len(consonants)
-            if value == 0:
-                break
-        form = "zz" + "".join(reversed(digits))
-        tokens.append(
-            Token(index=i, form=form, lemma=form, upos="X", xpos=None, feats={},
-                  head=None if i == 0 else 0, deprel="root" if i == 0 else "dep",
-                  entity=None, space_after=True)
-        )
-    return Sentence(tokens=tuple(tokens), ranges=())
-
-
-def dilute(doc: Document, n: int) -> Document:
-    """Append n inert filler tokens as one extra sentence."""
-    return Document(doc_id=f"{doc.doc_id}__d{n}", language=doc.language,
-                    sentences=doc.sentences + (filler_sentence(n),))
 
 
 # ------------------------------------------------------------ genre corpora

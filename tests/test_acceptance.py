@@ -30,8 +30,9 @@ from stylovec.engine import evaluate_all
 from stylovec.model import Document, Sentence, Token
 from stylovec.packs import registry_for
 from stylovec.packs.english import extract_verb_groups
-from stylovec.synth import dilute, duplicate, genre_corpus, random_document
+from stylovec.synth import genre_corpus, random_document
 
+from doc_transforms import dilute, duplicate
 from test_packs_en import CELL_EXPECTATIONS, MODAL_EXPECTATIONS
 from test_packs_pl import NEG_EXPECTATIONS
 

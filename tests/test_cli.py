@@ -148,14 +148,23 @@ class TestAnalyzeCsv:
             tmp_path / "c",
             {"a.conllu": EN_DOC, "b.conllu": EN_DOC_2, "n.conllu": PL_DOC},
         )
-        out1 = tmp_path / "one.csv"
-        out2 = tmp_path / "two.csv"
-        assert main(["analyze", "--input", str(corpus), "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["analyze", "--input", str(corpus), "--out", str(out2), "--jobs", "2"]) == 0
-        for lang in ("en", "pl"):
-            a = tmp_path / f"one.{lang}.csv"
-            b = tmp_path / f"two.{lang}.csv"
-            assert a.read_bytes() == b.read_bytes()
+        outputs = []
+        for jobs in ("1", "2"):
+            run = tmp_path / f"jobs{jobs}"
+            analyze = ["analyze", "--input", str(corpus), "--jobs", jobs]
+            assert main([*analyze, "--out", str(run / "v.csv"),
+                         "--debug-out", str(run / "debug")]) == 0
+            assert main([*analyze, "--out", str(run / "v.json"), "--format", "json",
+                         "--report-json", str(run / "report.json")]) == 0
+            report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+            del report["wall_time"]
+            files = {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*"))
+                     if p.is_file() and p.name != "report.json"}
+            outputs.append((files, report))
+        assert sorted(map(str, outputs[0][0])) == [
+            "debug/a.debug.csv", "debug/b.debug.csv", "debug/n.debug.csv",
+            "v.en.csv", "v.json", "v.pl.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_debug_out_writes_per_document_captures(self, tmp_path):
         corpus = write_corpus(tmp_path / "c", {"neg.conllu": PL_DOC})

@@ -226,6 +226,23 @@ class TestPackFiles:
         (tmp_path / "words.txt").write_bytes(b"anty\n")
         assert self.message(monkeypatch, tmp_path, self.HEAD + section) == message
 
+    @pytest.mark.parametrize("section,message", [
+        *[(f"[lexicon words]\nfile = words.txt\nmode = {mode}\nexceptions = exc.txt\n".encode(),
+           "lexicon words: words: exceptions apply only in prefix mode")
+          for mode in ("lemma_exact", "form_exact", "phrase")],
+        (b"[lexicon words]\nfile = weighted.txt\nmode = lemma_exact\n"
+         b"[metric X]\ncategory = LEX\nfamily = lexicon\nlexicon = words\n",
+         "metric X: words: weights apply only to sentiment metrics"),
+    ], ids=["lemma_exact", "form_exact", "phrase", "weighted"])
+    def test_lexicon_option_that_would_be_ignored_is_refused(self, monkeypatch, tmp_path,
+                                                             section, message):
+        """Exceptions act only in prefix mode and weights only in sentiment
+        metrics; anywhere else the manifest is refused, not half obeyed."""
+        (tmp_path / "words.txt").write_bytes(b"kot\npies\n")
+        (tmp_path / "exc.txt").write_bytes(b"kot\n")
+        (tmp_path / "weighted.txt").write_bytes(b"kot\t1\npies\n")
+        assert self.message(monkeypatch, tmp_path, self.HEAD + section) == message
+
 
 def test_every_family_and_detector_is_used_by_a_stock_manifest():
     used: set[str] = set()
@@ -235,6 +252,23 @@ def test_every_family_and_detector_is_used_by_a_stock_manifest():
             used.update(cfg[section].get(k) for k in ("family", "detector"))
     assert set(packs.FAMILIES) - used == set()
     assert set(packs.DETECTORS) - used == set()
+
+
+def test_shared_metrics_are_defined_alike_in_every_pack():
+    """Every manifest opens with the same 54 ``language = universal`` metric
+    sections in the same order, and they differ only in ``category``: an edit
+    to one copy would give one column id a meaning per language."""
+    heads = []
+    for language in packs.PACK_FILES:
+        cfg = packs._read_manifest(language)
+        sections = [s for s in cfg.sections() if s.startswith("metric ")]
+        shared = [s for s in sections if cfg[s].get("language") == "universal"]
+        assert sections[:len(shared)] == shared, language
+        heads.append([(s, {k: v for k, v in cfg[s].items() if k != "category"})
+                      for s in shared])
+    assert len(heads[0]) == 54
+    for language, head in zip(packs.PACK_FILES, heads):
+        assert head == heads[0], language
 
 
 @pytest.mark.parametrize("language", packs.PACK_FILES)

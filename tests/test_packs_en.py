@@ -195,6 +195,32 @@ class TestFigureDetectors:
         assert res["VG_PRES_CONT_ACT"].raw_count == 2
         assert res["SYN_IRRITATION"].captured == ()
 
+    def test_irritation_pairs_groups_and_intensifiers_within_a_sentence(self):
+        pres = {"Tense": "Pres", "VerbForm": "Fin"}
+        ing = {"Tense": "Pres", "VerbForm": "Part"}
+        d = doc(
+            sent(  # an intensifier without a continuous group
+                tok(0, "She", lemma="she", upos="PRON", head=2, deprel="nsubj"),
+                tok(1, "always", lemma="always", upos="ADV", head=2, deprel="advmod"),
+                tok(2, "comes", lemma="come", upos="VERB", feats=pres),
+            ),
+            sent(  # a continuous group without an intensifier
+                tok(0, "He", lemma="he", upos="PRON", head=2, deprel="nsubj"),
+                tok(1, "is", lemma="be", upos="AUX", head=2, deprel="aux", feats=pres),
+                tok(2, "sleeping", lemma="sleep", upos="VERB", feats=ing),
+            ),
+            sent(  # both
+                tok(0, "They", lemma="they", upos="PRON", head=3, deprel="nsubj"),
+                tok(1, "are", lemma="be", upos="AUX", head=3, deprel="aux", feats=pres),
+                tok(2, "constantly", lemma="constantly", upos="ADV", head=3, deprel="advmod"),
+                tok(3, "complaining", lemma="complain", upos="VERB", feats=ing),
+            ),
+        )
+        res = evaluate_doc(d)
+        assert res["VG_PRES_CONT_ACT"].raw_count == 4
+        assert res["SYN_IRRITATION"].captured == ((2, 1), (2, 2), (2, 3))
+        assert res["SYN_IRRITATION"].raw_count == 3
+
     def test_inversion_and_fronting(self):
         document, res = results_for("en_verbs/p27.conllu")
         assert res["VG_PAST_SIMPLE_ACT"].raw_count == 1

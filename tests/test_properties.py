@@ -32,10 +32,11 @@ from stylovec.conllu import ParseError, parse_conllu, to_conllu
 from stylovec.engine import DocContext, Metric, MetricDescriptor, Registry, evaluate_all
 from stylovec.model import CONTENT_UPOS, FUNCTION_UPOS, ModelError, MultiwordRange, Sentence
 from stylovec.packs import english, polish, registry_for
-from stylovec.synth import duplicate, random_document
+from stylovec.synth import random_document
 from stylovec.universal import token_pattern
 
 from conftest import doc as build_doc, sent, tok, word_sentence
+from doc_transforms import duplicate
 
 LANGUAGES = ("en", "pl", "uk", "ru")
 

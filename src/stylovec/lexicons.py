@@ -1,27 +1,27 @@
-"""Dictionary resources: word lists, signed sentiment lexicons, and
-affective norms.
+"""Dictionary resources: word lists and scored-word (norms) tables.
 
-Lexicon files hold one case-folded entry per line with ``#`` comments
-and an optional tab-separated signed weight, which only sentiment
-metrics read. Matching modes: exact lemma, exact form, form prefix with
-a full-form exception list, and multi-word phrase (consecutive forms
+Lexicon files hold one case-folded entry per line with ``#`` comments;
+a tab in an entry line is an error, as a scored word belongs in a norms
+table. Matching modes: exact lemma, exact form, form prefix with a
+full-form exception list, and multi-word phrase (consecutive forms
 inside one sentence, longest first, greedy left-to-right,
 non-overlapping).
 
 Norms files are tab-separated: a ``lemma`` column plus one column per
 scored dimension, the header cell carrying ``name:mean``; metrics count
-lemmas scoring strictly above (or at most) the declared mean. As in a
-lexicon file, a line that is blank or whose stripped text starts with
-``#`` is skipped, and each cell is stripped (the line is not, so a
-trailing tab is still an extra column).
-Weights, means and scores must be finite numbers.
+lemmas scoring strictly above (or at most) the declared mean. The
+Polish psycholinguistic norms and English sentiment (one ``sentiment``
+dimension with mean 0) are norms tables. As in a lexicon file, a line
+that is blank or whose stripped text starts with ``#`` is skipped, and
+each cell is stripped (the line is not, so a trailing tab is still an
+extra column). Means and scores must be finite numbers.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -43,13 +43,12 @@ class Lexicon:
     mode: str
     entries: frozenset[str]
     exceptions: frozenset[str] = frozenset()
-    weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise LexiconError(f"{self.name}: unknown mode {self.mode!r}")
+            raise LexiconError(f"unknown mode {self.mode!r}")
         if not self.entries:
-            raise LexiconError(f"{self.name}: empty lexicon")
+            raise LexiconError("empty lexicon")
 
     @cached_property
     def phrase_index(self) -> dict[str, list[tuple[str, ...]]]:
@@ -61,10 +60,11 @@ class Lexicon:
 
 
 def read_text(path: Path) -> str:
-    """The UTF-8 text of a pack data file; failing to read or decode it
-    is a :class:`LexiconError` naming the path."""
+    """The UTF-8 text of a pack data file without a leading byte order
+    mark, as in a CoNLL-U file; failing to read or decode it is a
+    :class:`LexiconError` naming the path."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise LexiconError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
@@ -82,29 +82,24 @@ def read_lines(path: Path) -> list[str]:
 
 def _finite(text: str) -> float:
     """``float(text)``, with ``nan`` and the infinities a ValueError too:
-    ``nan`` falls on neither side of zero or of a mean, and no rating
-    scale reaches infinity."""
+    ``nan`` falls on neither side of a mean, and no rating scale reaches
+    infinity."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
-def _read_entries(path: Path) -> list[tuple[int, str, float | None]]:
-    """``(line number, entry, weight)`` for every entry line of a lexicon file."""
-    out: list[tuple[int, str, float | None]] = []
+def _read_entries(path: Path) -> list[tuple[int, str]]:
+    """``(line number, entry)`` for every entry line of a lexicon file."""
+    out: list[tuple[int, str]] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        entry, _, rest = line.partition("\t")
-        weight = None
-        if rest:
-            try:
-                weight = _finite(rest.strip())
-            except ValueError:
-                raise LexiconError(f"{path}:{lineno}: bad weight {rest.strip()!r}") from None
-        out.append((lineno, " ".join(entry.casefold().split()), weight))
+        if "\t" in line:
+            raise LexiconError(f"{path}:{lineno}: tab in entry; scored words go in a norms table")
+        out.append((lineno, " ".join(line.casefold().split())))
     return out
 
 
@@ -114,31 +109,21 @@ def load_lexicon(path: str | Path, mode: str, name: str | None = None,
     an entry-free file is an error. Only a prefix lexicon takes exceptions."""
     path = Path(path)
     if exceptions_path is not None and mode != "prefix":
-        raise LexiconError(f"{name or path.stem}: exceptions apply only in prefix mode")
-    entries: dict[str, float | None] = {}
-    for lineno, entry, weight in _read_entries(path):
+        raise LexiconError("exceptions apply only in prefix mode")
+    entries: set[str] = set()
+    for lineno, entry in _read_entries(path):
         if entry in entries:
             log.warning("%s:%d: duplicate entry %r ignored", path, lineno, entry)
-            continue
-        entries[entry] = weight
+        entries.add(entry)
     exceptions: frozenset[str] = frozenset()
     if exceptions_path is not None:
-        exceptions = frozenset(e for _, e, _ in _read_entries(Path(exceptions_path)))
-    return Lexicon(
-        name=name or path.stem,
-        mode=mode,
-        entries=frozenset(entries),
-        exceptions=exceptions,
-        weights={e: w for e, w in entries.items() if w is not None},
-    )
+        exceptions = frozenset(e for _, e in _read_entries(Path(exceptions_path)))
+    return Lexicon(name=name or path.stem, mode=mode, entries=frozenset(entries),
+                   exceptions=exceptions)
 
 
 def lexicon_incidence(lexicon: Lexicon):
-    """Rule capturing the tokens the lexicon matches under its mode; a
-    weighted lexicon is refused, as only :func:`sentiment_incidence` reads
-    weights."""
-    if lexicon.weights:
-        raise LexiconError(f"{lexicon.name}: weights apply only to sentiment metrics")
+    """Rule capturing the tokens the lexicon matches under its mode."""
     if lexicon.mode == "prefix":
         prefixes = tuple(lexicon.entries)
         return key_incidence("form_index", lambda form: form not in lexicon.exceptions
@@ -168,22 +153,6 @@ def phrase_hits(sent: Sentence, index: dict[str, list[tuple[str, ...]]]) -> list
         else:
             ti += 1
     return hits
-
-
-def sentiment_incidence(lexicon: Lexicon, sign: str):
-    """Share of tokens hitting entries with weight > 0 (``positive``) or
-    weight < 0 (``negative``); zero-weight entries count in neither."""
-    if sign not in ("positive", "negative"):
-        raise ValueError(f"unknown sign {sign!r}")
-    if lexicon.mode not in ("lemma_exact", "form_exact"):
-        raise LexiconError(f"{lexicon.name}: sentiment needs an exact-match mode")
-    missing = lexicon.entries - set(lexicon.weights)
-    if missing:
-        raise LexiconError(f"{lexicon.name}: unweighted entries, e.g. {sorted(missing)[0]!r}")
-    hits = frozenset(e for e, w in lexicon.weights.items()
-                     if (w > 0 if sign == "positive" else w < 0))
-    return key_incidence("lemma_index" if lexicon.mode == "lemma_exact" else "form_index",
-                         hits.__contains__)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from ..lexicons import (
     norms_incidence,
     read_lines,
     read_text,
-    sentiment_incidence,
 )
 from .. import universal
 from . import eastslavic, english, polish
@@ -181,10 +180,6 @@ def _fam_lexicon(params, pack):
     return lexicon_incidence(pack.lexicon(params.pop("lexicon")))
 
 
-def _fam_sentiment(params, pack):
-    return sentiment_incidence(pack.lexicon(params.pop("lexicon")), params.pop("sign"))
-
-
 def _fam_norms(params, pack):
     if pack.norms is None:
         raise PackError("pack declares no norms file")
@@ -212,7 +207,6 @@ FAMILIES = {
     "content_function": (_fam_content_function, True, True),
     "graphical": (_fam_graphical, True, True),
     "lexicon": (_fam_lexicon, True, True),
-    "sentiment": (_fam_sentiment, True, True),
     "norms": (_fam_norms, True, True),
     "phrase_distance": (_fam_phrase_distance, False, False),
     "repetition": (_fam_repetition, True, False),
@@ -232,6 +226,12 @@ def _read_manifest(language: str) -> configparser.ConfigParser:
         raise PackError(str(exc)) from None
     except configparser.Error as exc:
         raise PackError(f"{path}: {exc}") from None
+    # an empty value would load as if the key were absent; raw items skip
+    # the per-key lookups of a section proxy
+    for section in cfg.sections():
+        for key, value in cfg.items(section, raw=True):
+            if not value:
+                raise PackError(f"{section}: empty value for {key!r}")
     return cfg
 
 

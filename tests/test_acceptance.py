@@ -239,7 +239,7 @@ _WORD_POOL = (
     "the", "a", "and", "or", "but", "of", "to", "in",
     # entries of the bundled intensifier lexicon
     "very", "really", "extremely",
-    # entries of the bundled sentiment lexicon
+    # lemmas of the bundled sentiment table
     "good", "great", "love", "bad", "hate",
     # plain content words
     "cat", "dog", "house", "storm", "run", "walk", "see", "bright",

@@ -13,7 +13,6 @@ from stylovec.lexicons import (
     load_lexicon,
     load_norms,
     norms_incidence,
-    sentiment_incidence,
 )
 
 from conftest import doc, sent, tok, word_sentence
@@ -23,9 +22,9 @@ def forms_of(document, refs):
     return sorted(document.token_at(si, ti).form for si, ti in refs)
 
 
-def lex(entries, mode="lemma_exact", exceptions=(), weights=None, name="test"):
+def lex(entries, mode="lemma_exact", exceptions=(), name="test"):
     return Lexicon(name=name, mode=mode, entries=frozenset(entries),
-                   exceptions=frozenset(exceptions), weights=weights or {})
+                   exceptions=frozenset(exceptions))
 
 
 class TestLoadLexicon:
@@ -39,14 +38,17 @@ class TestLoadLexicon:
         lx = load_lexicon(p, mode="lemma_exact")
         assert lx.entries == frozenset({"alpha", "beta", "gamma"})
         assert lx.name == "words"
-        assert lx.weights == {}
 
     def test_duplicates_warn_and_keep_first(self, tmp_path, caplog):
-        p = self.put(tmp_path, "alpha\t1.0\nbeta\nalpha\t-2.0\n")
+        p = self.put(tmp_path, "alpha\nbeta\nAlpha\n")
         with caplog.at_level(logging.WARNING, logger="stylovec"):
             lx = load_lexicon(p, mode="lemma_exact")
-        assert lx.weights["alpha"] == 1.0
+        assert lx.entries == frozenset({"alpha", "beta"})
         assert any("duplicate" in r.message for r in caplog.records)
+        # the tab check reads every line, a duplicate too
+        self.put(tmp_path, "alpha\nbeta\nalpha\t-2.0\n")
+        with pytest.raises(LexiconError, match=r"words\.txt:3: tab in entry"):
+            load_lexicon(p, mode="lemma_exact")
 
     def test_duplicate_warning_names_the_line_of_the_file(self, tmp_path, caplog):
         # comment and blank lines count: the second 'foo' is line 5 of the file
@@ -55,22 +57,14 @@ class TestLoadLexicon:
             load_lexicon(p, mode="form_exact")
         assert f"{p}:5: duplicate entry 'foo' ignored" in caplog.text
 
-    def test_weights_parsed(self, tmp_path):
-        p = self.put(tmp_path, "good\t2.5\nbad\t-1\nmeh\t0\nplain\n")
-        lx = load_lexicon(p, mode="form_exact")
-        assert lx.weights == {"good": 2.5, "bad": -1.0, "meh": 0.0}
-        assert "plain" in lx.entries and "plain" not in lx.weights
-
     def test_bad_weight_is_error(self, tmp_path):
-        p = self.put(tmp_path, "word\theavy\n")
-        with pytest.raises(LexiconError, match="weight"):
-            load_lexicon(p, mode="form_exact")
-
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-Infinity"])
-    def test_non_finite_weight_is_error(self, tmp_path, weight):
-        p = self.put(tmp_path, f"good\t1\nword\t{weight}\n")
-        with pytest.raises(LexiconError, match=rf"words\.txt:2: bad weight '{weight}'"):
-            load_lexicon(p, mode="form_exact")
+        """A lexicon line holds one entry; a weight column (a scored word
+        belongs in a norms table) is refused, not read as part of the entry."""
+        for weight in ("heavy", "2.5"):
+            p = self.put(tmp_path, f"plain\nword\t{weight}\n")
+            with pytest.raises(LexiconError, match=r"words\.txt:2: tab in entry; scored words "
+                                                   r"go in a norms table"):
+                load_lexicon(p, mode="form_exact")
 
     def test_empty_file_is_error(self, tmp_path):
         p = self.put(tmp_path, "# only a comment\n")
@@ -105,7 +99,7 @@ class TestLoadLexicon:
         p = self.put(tmp_path, f"a\r\nc{separator}d\nb\n")
         assert load_lexicon(p, mode="phrase").entries == frozenset({"a", "c d", "b"})
         self.put(tmp_path, f"a\r\nc{separator}d\nb\theavy\n")
-        with pytest.raises(LexiconError, match=r"words\.txt:3: bad weight 'heavy'"):
+        with pytest.raises(LexiconError, match=r"words\.txt:3: tab in entry"):
             load_lexicon(p, mode="form_exact")
         n = self.put(tmp_path, f"lemma\tv:1\r\nko{separator}t\t5\nbad\tx\n", name="n.tsv")
         with pytest.raises(LexiconError, match=r"n\.tsv:3: non-numeric score"):
@@ -177,41 +171,6 @@ class TestMatching:
         rule = lexicon_incidence(lex({"alpha"}, mode="form_exact"))
         refs, raw = rule(DocContext(d))
         assert refs == [(0, 0)] and raw is None
-
-
-class TestSentiment:
-    def weighted(self):
-        entries = {"love", "hate", "plain"}
-        return lex(entries, weights={"love": 2.0, "hate": -1.5, "plain": 0.0})
-
-    def test_positive_and_negative_split(self):
-        d = doc(word_sentence("love", "hate", "plain", "other"))
-        ctx = DocContext(d)
-        pos, _ = sentiment_incidence(self.weighted(), "positive")(ctx)
-        neg, _ = sentiment_incidence(self.weighted(), "negative")(ctx)
-        assert forms_of(d, pos) == ["love"]
-        assert forms_of(d, neg) == ["hate"]
-
-    def test_zero_weight_counts_neither(self):
-        d = doc(word_sentence("plain"))
-        ctx = DocContext(d)
-        for sign in ("positive", "negative"):
-            refs, _ = sentiment_incidence(self.weighted(), sign)(ctx)
-            assert refs == []
-
-    def test_unweighted_lexicon_rejected(self):
-        lx = lex({"love", "naked"}, weights={"love": 1.0})
-        with pytest.raises(LexiconError, match="unweighted"):
-            sentiment_incidence(lx, "positive")
-
-    def test_phrase_mode_rejected(self):
-        lx = lex({"oh no"}, mode="phrase", weights={"oh no": -1.0})
-        with pytest.raises(LexiconError, match="exact"):
-            sentiment_incidence(lx, "negative")
-
-    def test_unknown_sign_rejected(self):
-        with pytest.raises(ValueError, match="sign"):
-            sentiment_incidence(self.weighted(), "neutral")
 
 
 class TestLoadNorms:

@@ -10,7 +10,7 @@ import pytest
 from stylovec import packs, universal
 from stylovec.conllu import read_document
 from stylovec.engine import DocContext, evaluate_all
-from stylovec.lexicons import AffectiveNorms, Lexicon
+from stylovec.lexicons import AffectiveNorms
 from stylovec.output import write_debug_csv
 from stylovec.packs import PackError, PackResources, registry_for
 
@@ -44,11 +44,9 @@ class TestLayer:
 
 
 def _resources() -> PackResources:
-    sentiment = Lexicon(name="sent", mode="lemma_exact", entries=frozenset({"good"}),
-                        weights={"good": 1.0})
     norms = AffectiveNorms(dimensions=("valence",), means={"valence": 0.0},
                            scores={"good": {"valence": 1.0}})
-    return PackResources("en", lexicons={"sent": sentiment}, norms=norms)
+    return PackResources("en", norms=norms)
 
 
 VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, modal; got "
@@ -58,7 +56,8 @@ VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, mo
     ({"family": "graphical", "kind": "smiley"}, "unknown graphical kind 'smiley'"),
     ({"family": "content_function", "kind": "lexical"}, "unknown split kind 'lexical'"),
     ({"family": "repetition", "kind": "word"}, "unknown repetition kind 'word'"),
-    ({"family": "sentiment", "lexicon": "sent", "sign": "neutral"}, "unknown sign 'neutral'"),
+    ({"family": "norms", "dimension": "arousal", "side": "above_mean"},
+     "norms file lacks dimension 'arousal'"),
     ({"family": "norms", "dimension": "valence", "side": "at_mean"},
      "unknown side 'at_mean'"),
     ({"family": "sentence_pattern", "clause.1": "most; upos=NOUN"},
@@ -108,7 +107,7 @@ VG_SHAPE = "verb_group takes tense, aspect and voice, or one of tense, voice, mo
      "unknown detector 'verb_group_cell'"),
     ({"family": "type_token_ratio", "layr": "lemma"}, "unused parameter 'layr'"),
     ({"detector": "fronting", "tense": "past"}, "unused parameter 'tense'"),
-    ({"family": "sentiment", "lexicon": "sent"}, "missing parameter 'sign'"),
+    ({"family": "norms", "dimension": "valence"}, "missing parameter 'side'"),
     ({"family": "top_frequency"}, "missing parameter 'fraction'"),
     ({"family": "type_token_ratio", "layr": "lemma", "zz": "1"}, "unused parameter 'layr'"),
     ({"family": "word_length", "min_chars": ""}, "word_length needs min_syllables or min_chars"),
@@ -127,7 +126,7 @@ def test_build_error_message_names_the_bad_value(params, message):
 
 
 def test_built_metric_leaves_the_section_as_it_was():
-    opts = {"category": "LEX", "family": "sentiment", "lexicon": "sent", "sign": "positive",
+    opts = {"category": "LEX", "family": "norms", "dimension": "valence", "side": "above_mean",
             "description": "d", "name_en": "n", "language": "xx"}
     given = dict(opts)
     metric = packs._build_metric("X", opts, _resources(), ("LEX",))
@@ -218,30 +217,90 @@ class TestPackFiles:
         (b"emoticon = emo.txt\n", "pack: unused parameter 'emoticon'"),
         (b"[lexicon words]\nfile = words.txt\nmode = prefix\nexception = exc.txt\n",
          "lexicon words: unused parameter 'exception'"),
+        (b"[lexicon words]\nfile = words.txt\nmode = fuzzy\n",
+         "lexicon words: unknown mode 'fuzzy'"),
         (b"[metric X]\ncategory = LEX\nfamily = pos_incidence\nupos = NOUN\n"
          b"[metric X ]\ncategory = LEX\nfamily = pos_incidence\nupos = VERB\n",
          "metric X: duplicate metric id 'X'"),
-    ], ids=["pack-key", "lexicon-key", "duplicate-metric"])
+    ], ids=["pack-key", "lexicon-key", "lexicon-mode", "duplicate-metric"])
     def test_manifest_fault_names_its_section(self, monkeypatch, tmp_path, section, message):
         (tmp_path / "words.txt").write_bytes(b"anty\n")
         assert self.message(monkeypatch, tmp_path, self.HEAD + section) == message
 
     @pytest.mark.parametrize("section,message", [
         *[(f"[lexicon words]\nfile = words.txt\nmode = {mode}\nexceptions = exc.txt\n".encode(),
-           "lexicon words: words: exceptions apply only in prefix mode")
+           "lexicon words: exceptions apply only in prefix mode")
           for mode in ("lemma_exact", "form_exact", "phrase")],
-        (b"[lexicon words]\nfile = weighted.txt\nmode = lemma_exact\n"
-         b"[metric X]\ncategory = LEX\nfamily = lexicon\nlexicon = words\n",
-         "metric X: words: weights apply only to sentiment metrics"),
-    ], ids=["lemma_exact", "form_exact", "phrase", "weighted"])
+    ], ids=["lemma_exact", "form_exact", "phrase"])
     def test_lexicon_option_that_would_be_ignored_is_refused(self, monkeypatch, tmp_path,
                                                              section, message):
-        """Exceptions act only in prefix mode and weights only in sentiment
-        metrics; anywhere else the manifest is refused, not half obeyed."""
+        """Exceptions act only in prefix mode; with any other mode the
+        manifest is refused, not half obeyed."""
         (tmp_path / "words.txt").write_bytes(b"kot\npies\n")
         (tmp_path / "exc.txt").write_bytes(b"kot\n")
-        (tmp_path / "weighted.txt").write_bytes(b"kot\t1\npies\n")
         assert self.message(monkeypatch, tmp_path, self.HEAD + section) == message
+
+    METRIC = b"[metric X]\ncategory = LEX\nfamily = pos_incidence\nupos = NOUN\n"
+
+    @pytest.mark.parametrize("manifest,message", [
+        (HEAD + b"emoticons =\n" + METRIC, "pack: empty value for 'emoticons'"),
+        (HEAD + b"[lexicon words]\nfile = words.txt\nmode = lemma_exact\nexceptions =\n"
+         + METRIC, "lexicon words: empty value for 'exceptions'"),
+        (HEAD + b"[metric X]\ncategory = LEX\nfamily = word_length\nmin_syllables =\n"
+         b"min_chars = 7\n", "metric X: empty value for 'min_syllables'"),
+    ], ids=["pack", "lexicon", "metric"])
+    def test_empty_value_is_refused(self, monkeypatch, tmp_path, manifest, message):
+        """A key given no value would load as if it were absent: an empty
+        emoticon list reads 0, and empty exceptions go unchecked."""
+        (tmp_path / "words.txt").write_bytes(b"kot\n")
+        assert self.message(monkeypatch, tmp_path, manifest) == message
+
+    BOM_FILES = {
+        "en.cfg": HEAD + b"emoticons = emo.txt\nnorms = norms.tsv\n"
+        b"[lexicon words]\nfile = words.txt\nmode = lemma_exact\n"
+        b"[lexicon prefixes]\nfile = prefixes.txt\nmode = prefix\nexceptions = exc.txt\n"
+        b"[metric WORDS]\ncategory = LEX\nfamily = lexicon\nlexicon = words\n"
+        b"[metric PREFIXES]\ncategory = LEX\nfamily = lexicon\nlexicon = prefixes\n"
+        b"[metric NORMS]\ncategory = LEX\nfamily = norms\ndimension = v\nside = above_mean\n"
+        b"[metric EMO]\ncategory = LEX\nfamily = graphical\nkind = emoticon\n",
+        "words.txt": b"kot\n",
+        "prefixes.txt": b"anty\n",
+        "exc.txt": b"antyk\n",
+        "norms.tsv": b"lemma\tv:0\nkot\t1\n",
+        "emo.txt": b":)\n:(\n",
+    }
+
+    @pytest.mark.parametrize("name", BOM_FILES)
+    def test_leading_bom_is_dropped(self, monkeypatch, tmp_path, name):
+        """A data file saved with a byte order mark reads as the same file
+        without one, as a CoNLL-U file does; kept, the mark would join the
+        first entry, header cell or manifest line."""
+        document = doc(word_sentence("kot", "antyk", "antygen", ":)", ":("))
+        monkeypatch.setattr(packs, "DATA_DIR", tmp_path)
+        values = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            for file, body in self.BOM_FILES.items():
+                (tmp_path / file).write_bytes(bom + body if file == name else body)
+            values.append(evaluate_all(packs.load_pack("en"), document).values)
+        assert values[0] == (1 / 5, 1 / 5, 1 / 5, 2 / 5)
+        assert values[1] == values[0]
+
+
+def test_every_data_file_a_stock_manifest_names_is_packaged():
+    """Tests import the package from its source tree, so a data file that
+    ``[tool.setuptools.package-data]`` leaves out of a wheel would not show."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(TESTS.parent / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["stylovec.packs"]
+    packaged = {p for pattern in globs for p in packs.DATA_DIR.parent.glob(pattern)}
+    named = set(packs.PACK_FILES.values())
+    for language in packs.PACK_FILES:
+        cfg = packs._read_manifest(language)
+        named.update(cfg[section][key] for section in cfg.sections()
+                     for key in ("emoticons", "norms", "file", "exceptions")
+                     if key in cfg[section] and not section.startswith("metric "))
+    assert "sentiment_en.tsv" in named
+    assert sorted(name for name in named if packs.DATA_DIR / name not in packaged) == []
 
 
 def test_every_family_and_detector_is_used_by_a_stock_manifest():

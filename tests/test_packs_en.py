@@ -5,7 +5,8 @@ from functools import lru_cache
 import pytest
 
 from stylovec.engine import evaluate_all
-from stylovec.packs import registry_for
+from stylovec.lexicons import load_norms
+from stylovec.packs import DATA_DIR, registry_for
 from stylovec.packs.english import extract_verb_groups
 
 from conftest import doc, load_fixture, sent, tok
@@ -378,7 +379,14 @@ class TestLexicalMetrics:
         ))
         res = evaluate_doc(d)
         assert res["SENT_POSITIVE"].raw_count == 1  # love
-        assert res["SENT_NEGATIVE"].raw_count == 1  # bad; zero-weight 'plain' in neither
+        assert res["SENT_NEGATIVE"].raw_count == 1  # bad; neutral 'plain' is left unscored
+
+    def test_no_sentiment_lemma_scores_the_mean(self):
+        """``below_mean`` counts a score at most the mean 0 as negative, so a
+        neutral lemma is left out of the table rather than scored 0."""
+        norms = load_norms(DATA_DIR / "sentiment_en.tsv")
+        assert norms.means == {"sentiment": 0.0}
+        assert [lemma for lemma, row in norms.scores.items() if row["sentiment"] == 0.0] == []
 
     def test_linking_phrase_and_single_word(self):
         d = doc(

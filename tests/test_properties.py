@@ -211,7 +211,7 @@ def test_vectors_without_captures_are_unchanged(seed, language):
 # predicate captures.
 
 INDEXED_FAMILIES = ("feat_incidence", "token_pattern", "content_function", "graphical",
-                    "word_length", "lexicon", "sentiment", "norms")
+                    "word_length", "lexicon", "norms")
 
 
 VOWELS = {
@@ -309,14 +309,6 @@ def _scan_lexicon(params, pack):
     return token_incidence(lambda t, s: key(t).casefold() in lexicon.entries)
 
 
-def _scan_sentiment(params, pack):
-    lexicon = pack.lexicon(params.pop("lexicon"))
-    positive = params.pop("sign") == "positive"
-    hits = {e for e, w in lexicon.weights.items() if (w > 0 if positive else w < 0)}
-    key = (lambda t: t.lemma) if lexicon.mode == "lemma_exact" else (lambda t: t.form)
-    return token_incidence(lambda t, s: key(t).casefold() in hits)
-
-
 def _scan_norms(params, pack):
     dim, above = params.pop("dimension"), params.pop("side") == "above_mean"
     mean = pack.norms.means[dim]
@@ -328,8 +320,7 @@ def _scan_norms(params, pack):
 # each indexed family as the scan of every token that it replaces
 SCANS = {"feat_incidence": _scan_test, "token_pattern": _scan_test,
          "content_function": _scan_split, "graphical": _scan_graphical,
-         "word_length": _scan_word_length, "lexicon": _scan_lexicon,
-         "sentiment": _scan_sentiment, "norms": _scan_norms}
+         "word_length": _scan_word_length, "lexicon": _scan_lexicon, "norms": _scan_norms}
 _SCANNED: dict[str, Registry] = {}
 
 
@@ -408,6 +399,8 @@ def test_every_indexed_family_has_stock_metrics():
     families = {packs._read_manifest(lang)[f"metric {mid}"]["family"]
                 for lang in LANGUAGES for mid in indexed_metric_ids(lang)}
     assert families == set(INDEXED_FAMILIES)
+    # English sentiment is a norms dimension, so the norms scan checks it too
+    assert {"SENT_POSITIVE", "SENT_NEGATIVE"} <= set(indexed_metric_ids("en"))
 
 
 def test_capitalized_reads_the_case_preserving_surface_index():
